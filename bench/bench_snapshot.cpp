@@ -17,8 +17,8 @@
 ///     pre-image per touched location, no matter how deep the nest).
 ///
 ///  3. End-to-end: full analysis wall time on counterfactual-heavy
-///     workloads and the Table 1 miniquery cells, journal vs snapshot vs
-///     snapshot + intra-run parallel branches. Undo was never the dominant
+///     workloads and the Table 1 miniquery cells, journal vs snapshot.
+///     Undo was never the dominant
 ///     cost of a whole analysis (execution is), so these report parity
 ///     plus a modest gain — the honest framing for the isolated wins above.
 ///
@@ -28,7 +28,6 @@
 //===----------------------------------------------------------------------===//
 
 #include "determinacy/InstrumentedInterpreter.h"
-#include "determinacy/ParallelAnalysis.h"
 #include "parser/Parser.h"
 #include "support/Table.h"
 #include "support/ThreadPool.h"
@@ -211,7 +210,6 @@ struct E2ERow {
   std::string Name;
   double JournalNs;
   double SnapshotNs;
-  double ParallelNs;
 };
 
 } // namespace
@@ -269,18 +267,13 @@ int main(int Argc, char **Argv) {
               UT.str().c_str());
 
   // --- 3. End-to-end analyses -------------------------------------------
-  ThreadPool BranchPool(HostCpus);
   auto E2E = [&](const std::string &Name, const std::string &Source) {
     AnalysisOptions Jour;
     Jour.Undo = UndoEngine::Journal;
     AnalysisOptions Snap;
     Snap.Undo = UndoEngine::Snapshot;
-    AnalysisOptions Par = Snap;
-    Par.ParallelBranches = true;
-    Par.BranchPool = &BranchPool;
     return E2ERow{Name, timeAnalysis(Source, Jour, Iters, Samples),
-                  timeAnalysis(Source, Snap, Iters, Samples),
-                  timeAnalysis(Source, Par, Iters, Samples)};
+                  timeAnalysis(Source, Snap, Iters, Samples)};
   };
   std::vector<E2ERow> E2ERows;
   E2ERows.push_back(E2E("cf_deep_nest", counterfactualWorkload(4, 200000)));
@@ -298,20 +291,15 @@ int main(int Argc, char **Argv) {
     E2ERows.push_back(E2E("table1_miniquery1_" + std::to_string(Minor),
                           workloads::miniquery(Minor)));
 
-  TextTable ET({"bench", "journal ms", "snapshot ms", "snapshot+par ms"});
+  TextTable ET({"bench", "journal ms", "snapshot ms"});
   for (const E2ERow &R : E2ERows) {
-    char J[32], S[32], P[32];
+    char J[32], S[32];
     std::snprintf(J, sizeof(J), "%.3f", R.JournalNs / 1e6);
     std::snprintf(S, sizeof(S), "%.3f", R.SnapshotNs / 1e6);
-    std::snprintf(P, sizeof(P), "%.3f", R.ParallelNs / 1e6);
-    ET.addRow({R.Name, J, S, P});
+    ET.addRow({R.Name, J, S});
   }
   std::printf("End-to-end analysis wall time (host_cpus=%u):\n%s\n", HostCpus,
               ET.str().c_str());
-  if (HostCpus <= 1)
-    std::printf("note: 1-CPU host — intra-run parallel branches cannot show "
-                "a wall-clock speedup here; see the tests for the "
-                "byte-identity guarantee it preserves.\n");
 
   if (JsonPath) {
     FILE *F = std::fopen(JsonPath, "w");
@@ -338,10 +326,9 @@ int main(int Argc, char **Argv) {
     for (size_t I = 0; I < E2ERows.size(); ++I)
       std::fprintf(F,
                    "    {\"name\": \"%s\", \"journal_ns\": %.1f, "
-                   "\"snapshot_ns\": %.1f, \"snapshot_parallel_ns\": %.1f}%s\n",
+                   "\"snapshot_ns\": %.1f}%s\n",
                    E2ERows[I].Name.c_str(), E2ERows[I].JournalNs,
-                   E2ERows[I].SnapshotNs, E2ERows[I].ParallelNs,
-                   I + 1 < E2ERows.size() ? "," : "");
+                   E2ERows[I].SnapshotNs, I + 1 < E2ERows.size() ? "," : "");
     std::fprintf(
         F,
         "  ],\n"
@@ -353,15 +340,8 @@ int main(int Argc, char **Argv) {
         "the nesting depth)\",\n"
         "    \"end_to_end analyses are execution-dominated, so whole-run "
         "wall time shows parity plus a modest snapshot gain; the isolated "
-        "undo_cost rows are where the asymptotic change lives\"%s\n"
-        "  ]\n}\n",
-        HostCpus <= 1
-            ? ",\n    \"1-CPU bench host: snapshot_parallel_ns cannot show "
-              "a wall-clock speedup from intra-run parallel branches on "
-              "this machine; the mode is still exercised (and its "
-              "byte-identity to sequential execution is enforced by the "
-              "test suite)\""
-            : "");
+        "undo_cost rows are where the asymptotic change lives\"\n"
+        "  ]\n}\n");
     std::fclose(F);
   }
   return 0;

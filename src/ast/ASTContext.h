@@ -55,18 +55,6 @@ public:
   NodeID nextID() const { return NextID; }
   size_t nodeCount() const { return Nodes.size(); }
 
-  /// Discards every node created after a checkpoint (captured as
-  /// nextID()/nodeCount()) and resets the ID sequence, so code parsed by
-  /// `eval` during a rolled-back speculative execution is re-parsed with the
-  /// same NodeIDs when the work is rerun sequentially. Callers must not
-  /// retain pointers into the discarded suffix.
-  void rollbackTo(NodeID Next, size_t Count) {
-    assert(Count <= Nodes.size() && "rollback past a later checkpoint");
-    // erase, not resize: OwnedNode is move-only and never default-constructed.
-    Nodes.erase(Nodes.begin() + static_cast<ptrdiff_t>(Count), Nodes.end());
-    NextID = Next;
-  }
-
 private:
   // unique_ptr<Node> would need a public virtual destructor; nodes are
   // POD-like, so store them type-erased with a deleting thunk instead.

@@ -22,7 +22,6 @@
 #define DDA_DETERMINACY_DETERMINACY_H
 
 #include "ast/ASTContext.h"
-#include "bytecode/Bytecode.h"
 #include "determinacy/Context.h"
 #include "determinacy/Facts.h"
 #include "support/BitSet.h"
@@ -35,7 +34,12 @@ namespace dda {
 
 class FactStore;
 class FaultInjector;
-class ThreadPool;
+
+/// No-op kept only so the benchmark harness (ddbench/) keeps compiling:
+/// both values run the tree-walk interpreter, the one execution engine.
+/// Nothing reads AnalysisOptions::Engine and it is in no fingerprint.
+enum class ExecEngine : uint8_t { TreeWalk, Bytecode };
+inline ExecEngine defaultExecEngine() { return ExecEngine::TreeWalk; }
 
 /// Whether (and how) the interpreter reuses persisted region summaries.
 enum class IncrementalMode : uint8_t {
@@ -67,8 +71,7 @@ enum class UndoEngine : uint8_t {
 struct AnalysisOptions {
   uint64_t RandomSeed = 1; ///< Concrete seed for Math.random.
   uint64_t DomSeed = 1;    ///< Concrete seed for synthetic DOM content.
-  /// Expression execution engine; the bytecode VM is the default hot path,
-  /// the tree-walk is the reference semantics (`--engine=tree`).
+  /// No-op (see ExecEngine); ignored by the analysis.
   ExecEngine Engine = defaultExecEngine();
   uint64_t MaxSteps = 50'000'000;
   uint64_t DeadlineMs = 0;   ///< Wall-clock budget for the run; 0 = none.
@@ -127,18 +130,6 @@ struct AnalysisOptions {
   /// are byte-identical between the two.
   UndoEngine Undo = UndoEngine::Snapshot;
 
-  /// Run the taken and counterfactual sides of eligible indeterminate
-  /// branches concurrently (requires BranchPool and the Snapshot undo
-  /// engine). The fold is deterministic: merged facts are byte-identical
-  /// to the sequential execution at any thread count.
-  bool ParallelBranches = false;
-
-  /// Worker pool for intra-run branch parallelism (not owned; may be
-  /// null, which disables ParallelBranches). Kept separate from the
-  /// seed-level pool so branch tasks can never deadlock behind whole-run
-  /// tasks occupying every worker.
-  ThreadPool *BranchPool = nullptr;
-
   /// Incremental re-analysis (`--incremental`): replay top-level regions
   /// whose (statement key, reaching-state fingerprint, option fingerprint)
   /// match a summary in Store, and capture fresh summaries for the rest.
@@ -174,11 +165,9 @@ struct AnalysisStats {
   // Snapshot-engine observability. These describe *how* undo was done, not
   // *what* the analysis concluded, so they are excluded from the
   // fact-fingerprint parity contract (they legitimately differ between
-  // undo engines and with/without branch parallelism).
-  uint64_t SnapshotForks = 0;         ///< COW snapshot frames opened.
-  uint64_t CowCopies = 0;             ///< Object/environment pre-images saved.
-  uint64_t ParallelBranchTasks = 0;   ///< Counterfactuals dispatched to the pool.
-  uint64_t ParallelBranchCommits = 0; ///< Dispatched branches folded without rerun.
+  // undo engines).
+  uint64_t SnapshotForks = 0; ///< COW snapshot frames opened.
+  uint64_t CowCopies = 0;     ///< Object/environment pre-images saved.
   // Incremental-replay observability. Same contract as the snapshot
   // counters: mechanism, not conclusions — excluded from fact fingerprints
   // (a warm run replays instead of executing, but produces byte-identical

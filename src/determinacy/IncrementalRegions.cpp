@@ -43,9 +43,8 @@ using namespace dda;
 uint64_t dda::optionVectorFingerprint(const AnalysisOptions &Opts,
                                       std::string_view InjectorSpec) {
   ByteWriter W;
-  W.u32(1); // fingerprint schema version
+  W.u32(2); // fingerprint schema version
   W.u64(Opts.DomSeed);
-  W.u8(static_cast<uint8_t>(Opts.Engine));
   W.u64(Opts.MaxSteps);
   W.u64(Opts.DeadlineMs);
   W.u64(Opts.MaxHeapCells);
@@ -60,7 +59,6 @@ uint64_t dda::optionVectorFingerprint(const AnalysisOptions &Opts,
   W.u8(Opts.StrictTaint);
   W.u8(Opts.RecordAllExpressions);
   W.u8(static_cast<uint8_t>(Opts.Undo));
-  W.u8(Opts.ParallelBranches);
   W.str(InjectorSpec);
   return summaryChecksum(W.bytes());
 }
@@ -354,11 +352,11 @@ bool InstrumentedInterpreter::incrementalActive() const {
   // skips its checkpoints and would shift every later ordinal, so the
   // incremental layer stands down entirely when one is attached.
   return Opts.Incremental != IncrementalMode::Off && Opts.Store &&
-         !Opts.Injector && !IsShadowBranch;
+         !Opts.Injector;
 }
 
 bool InstrumentedInterpreter::regionBoundaryClean() const {
-  if (CfDepth != 0 || SpecActive || IndetBranchDepth != 0 || CfAbortRequested)
+  if (CfDepth != 0 || IndetBranchDepth != 0 || CfAbortRequested)
     return false;
   if (CfThrowMark || CfBreakMark)
     return false;
@@ -533,9 +531,9 @@ bool InstrumentedInterpreter::buildRegionDelta(const RegionCaptureState &RC,
     W.u32(E.Line);
   }
 
-  // Facts, sorted by (key, value) — shadow-branch folds make the raw
-  // mirror order nondeterministic, but FactDB::record's merge is
-  // order-independent, so any canonical order is sound.
+  // Facts, sorted by (key, value): FactDB::record's merge is
+  // order-independent, so a canonical order is sound and keeps the delta
+  // bytes independent of recording order.
   std::sort(IncFacts.begin(), IncFacts.end(),
             [](const std::pair<FactKey, FactValue> &A,
                const std::pair<FactKey, FactValue> &B) {
@@ -795,16 +793,13 @@ bool InstrumentedInterpreter::applyRegionDelta(const std::string &Delta) {
 
   for (const ObjImage &Im : D.Touched) {
     // Mimic restoreSnapshot's discipline: pre-image the object into the
-    // base COW frame, replace it wholesale, keep the save stamp, and give
-    // it a fresh shape generation so VM inline caches revalidate.
+    // base COW frame, replace it wholesale, and keep the save stamp.
     heapBarrier(Im.Ref);
     JSObject &Live = TheHeap.get(Im.Ref);
-    uint32_t FreshShape = Live.ShapeGen + 1;
     uint32_t KeepSave = Live.SaveGen;
     JSObject N;
     buildObject(Im, IncFnIndex, N);
     Live = std::move(N);
-    Live.ShapeGen = FreshShape;
     Live.SaveGen = KeepSave;
   }
   for (const ObjImage &Im : D.Fresh) {
@@ -833,8 +828,6 @@ bool InstrumentedInterpreter::applyRegionDelta(const std::string &Delta) {
     for (const auto &[Name, B] : Im.Vars)
       E.Vars.emplace(Name, B);
   }
-  if (!D.TouchedEnvs.empty())
-    Envs.noteShapeChange(); // Wholesale Vars replacement, like a restore.
 
   for (const ContextEntry &E : D.Ctxs)
     Contexts.intern(E.Parent, E.Site, E.Occurrence, E.Line);

@@ -7,11 +7,9 @@
 #include "parser/Parser.h"
 #include "support/FaultInjector.h"
 #include "support/StringUtils.h"
-#include "support/ThreadPool.h"
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 
 using namespace dda;
 
@@ -216,8 +214,6 @@ InstrumentedInterpreter::InstrumentedInterpreter(Program &P,
     Envs.beginSnapshot(/*Charged=*/false);
     SnapMarks.push_back(0);
   }
-  if (Opts.Engine == ExecEngine::Bytecode)
-    BC = std::make_unique<bc::Module>();
 }
 
 InstrumentedInterpreter::~InstrumentedInterpreter() = default;
@@ -450,27 +446,9 @@ void InstrumentedInterpreter::declareVar(EnvRef Env, StringId Name,
 
 void InstrumentedInterpreter::setVar(StringId Name, TaggedValue TV) {
   EnvRef E = Envs.lookupEnv(CurrentEnv, Name);
-  if (!E) {
+  if (!E)
     E = GlobalEnv; // Sloppy-mode global creation.
-    Envs.noteShapeChange(); // New binding in a pre-existing scope.
-  }
   declareVar(E, Name, std::move(TV));
-}
-
-void InstrumentedInterpreter::storeVarCached(EnvRef Env, Binding &B,
-                                             StringId Name, TaggedValue TV) {
-  // Overwrite of a binding already resolved (by a valid inline cache or a
-  // fresh lookup): journals and writes exactly like declareVar's
-  // existing-binding path, minus the re-find.
-  envBarrier(Env); // Frame copy only; &B points into the live map, still valid.
-  JournalEntry JE;
-  JE.K = JournalEntry::VarWrite;
-  JE.Env = Env;
-  JE.Name = Name;
-  JE.Existed = true;
-  J.push(JE, B);
-  ++Stats.JournalEntries;
-  B = Binding{std::move(TV.V), taintAdjust(TV.D)};
 }
 
 void InstrumentedInterpreter::weakenVar(EnvRef Env, StringId Name) {
@@ -678,7 +656,7 @@ Journal::Mark InstrumentedInterpreter::beginUndoFrame(bool Charged) {
 void InstrumentedInterpreter::undoSince(Journal::Mark M) {
   if (SnapMode) {
     // Every caller's mark is its own frame boundary (counterfactualBranch
-    // and captureSpec open one; the ctor opened the base frame at 0), and
+    // opens one; the ctor opened the base frame at 0), and
     // frames are strictly balanced — an opener restores its frame before
     // returning, on every path — so the caller's frame is exactly the top
     // of the stack: restore it and done. Cost is proportional to objects
@@ -703,11 +681,8 @@ void InstrumentedInterpreter::undoSince(Journal::Mark M) {
     case JournalEntry::VarWrite: {
       Environment &Env = Envs.get(E.Env);
       if (E.Existed) {
-        // In-place restore: the map node (and any cached Binding*) survives.
         Env.Vars[E.Name] = J.bindingPre(--BI);
       } else {
-        // Erasing invalidates Binding pointers; revalidate variable caches.
-        Envs.noteShapeChange();
         Env.Vars.erase(E.Name);
       }
       break;
@@ -896,384 +871,14 @@ IComp InstrumentedInterpreter::counterfactualBranch(
 }
 
 //===----------------------------------------------------------------------===//
-// Intra-run parallel branch exploration
-//===----------------------------------------------------------------------===//
-//
-// At an eligible indeterminate branch, a deep-copied *shadow* interpreter
-// runs the counterfactual (untaken) side on a pool thread while this thread
-// runs the taken side *speculatively* against a free snapshot frame. The
-// speculation is committed only when the shadow's counterfactual left zero
-// net effects — its journal has no surviving weakening entries, its arenas
-// did not grow, no flush/abort/escape happened, and no call was made — in
-// which case the sequential order (counterfactual first, then taken side)
-// would have started the taken side from exactly the state the speculation
-// saw, so the merged result is byte-identical at any thread count. Anything
-// else rolls the speculation back and reruns the branch sequentially.
-
-/// Bitwise value+determinacy equality (NaN-exact for numbers).
-static bool sameTagged(const TaggedValue &A, const TaggedValue &B) {
-  if (A.D != B.D || A.V.Kind != B.V.Kind)
-    return false;
-  switch (A.V.Kind) {
-  case ValueKind::Undefined:
-  case ValueKind::Null:
-    return true;
-  case ValueKind::Boolean:
-    return A.V.Bool == B.V.Bool;
-  case ValueKind::Number:
-    return std::memcmp(&A.V.Num, &B.V.Num, sizeof(double)) == 0;
-  case ValueKind::String:
-    return A.V.Str == B.V.Str;
-  case ValueKind::Object:
-    return A.V.Obj == B.V.Obj;
-  }
-  return false;
-}
-
-InstrumentedInterpreter::InstrumentedInterpreter(
-    InstrumentedInterpreter &Parent, ShadowBranchTag)
-    : Prog(Parent.Prog), Opts(Parent.Opts), Gov(Parent.Opts.governorLimits()),
-      TheHeap(Parent.TheHeap), Envs(Parent.Envs), RandomRng(Parent.RandomRng),
-      DomRng(Parent.DomRng), Contexts(Parent.Contexts) {
-  // The shadow tree-walks its one branch: chunk caches are per-interpreter
-  // scratch, and compiling inside a single counterfactual would only add
-  // latency. It never parallelizes further, never sees the injector (its
-  // deterministic checkpoint counters belong to the parent's sequence), and
-  // parses any eval'd code into a private overlay so the shared AST is
-  // never mutated from a pool thread.
-  Opts.Engine = ExecEngine::TreeWalk;
-  Opts.ParallelBranches = false;
-  Opts.BranchPool = nullptr;
-  Opts.Injector = nullptr;
-  ASTContext *ParentEvalCtx = Parent.Opts.EvalContext
-                                  ? Parent.Opts.EvalContext
-                                  : Parent.Prog.Context.get();
-  ShadowEvalCtx = std::make_unique<ASTContext>(ParentEvalCtx->nextID());
-  Opts.EvalContext = ShadowEvalCtx.get();
-
-  // Budgets continue from the parent's counters so the counterfactual trips
-  // exactly where the sequential order would have.
-  Gov.restore(Parent.Gov.checkpoint());
-  TheHeap.setGovernor(&Gov);
-  Envs.setGovernor(&Gov);
-  // The copied frames guard the *parent's* journal marks; the shadow's own
-  // counterfactual opens a fresh frame over an empty journal.
-  TheHeap.dropSnapshotsForFork();
-  Envs.dropSnapshotsForFork();
-  SnapMode = true;
-  IsShadowBranch = true;
-
-  // Stats is the delta base for the fold (the fold adds Sh.Stats - this
-  // copy to the parent). Facts/ExecutedCalls/ExecutedStmts/J start empty:
-  // whatever the shadow records is exactly the branch's contribution.
-  Stats = Parent.Stats;
-  GlobalEnv = Parent.GlobalEnv;
-  CurrentEnv = Parent.CurrentEnv;
-  Frames = Parent.Frames;
-  for (Frame &F : Frames)
-    F.ReturnEscape.reset(); // Parent-journal-relative; meaningless here.
-  Epoch = Parent.Epoch;
-  Degradation = Parent.Degradation;
-  IndetBranchDepth = Parent.IndetBranchDepth; // StrictTaint parity.
-  ObjectProto = Parent.ObjectProto;
-  StringProto = Parent.StringProto;
-  ArrayProto = Parent.ArrayProto;
-  EvalFn = Parent.EvalFn;
-  WindowObj = Parent.WindowObj;
-  DocumentObj = Parent.DocumentObj;
-  DomElements = Parent.DomElements;
-  EventHandlers = Parent.EventHandlers;
-  LastStmtValue = Parent.LastStmtValue;
-}
-
-InstrumentedInterpreter::SpecCheckpoint InstrumentedInterpreter::captureSpec() {
-  SpecCheckpoint Cp;
-  Cp.Stats = Stats;
-  Cp.HeapSize = TheHeap.size();
-  Cp.EnvSize = Envs.size();
-  Cp.HeapSaves = TheHeap.cowSaves();
-  Cp.EnvSaves = Envs.cowSaves();
-  Cp.Gov = Gov.checkpoint();
-  Cp.RandomState = RandomRng.getState();
-  Cp.DomState = DomRng.getState();
-  Cp.Epoch = Epoch;
-  Cp.OutputLen = Output.size();
-  Cp.HandlersLen = EventHandlers.size();
-  Cp.DomElements = DomElements;
-  Cp.LastStmt = LastStmtValue;
-  Cp.TopFrame = Frames.back();
-  Cp.FrameDepth = Frames.size();
-  Cp.CurEnv = CurrentEnv;
-  Cp.ThrowMark = CfThrowMark;
-  Cp.BreakMark = CfBreakMark;
-  Cp.IndetDepth = IndetBranchDepth;
-  Cp.AbortReq = CfAbortRequested;
-  Cp.Degradation = Degradation;
-  Cp.EvalCtx = Opts.EvalContext ? Opts.EvalContext : Prog.Context.get();
-  Cp.AstNextID = Cp.EvalCtx->nextID();
-  Cp.AstNodeCount = Cp.EvalCtx->nodeCount();
-  Cp.VLen = VStack.size();
-  Cp.JLen = JStack.size();
-  // The speculation frame is free: the sequential order would not have
-  // copied pre-images for taken-side writes, so charging them would make a
-  // heap budget trip earlier than the oracle.
-  Cp.Mark = beginUndoFrame(/*Charged=*/false);
-  SpecActive = true;
-  SpecSawEval = SpecWroteLastStmt = false;
-  SpecFacts.clear();
-  SpecStmts.clear();
-  SpecCalls.clear();
-  return Cp;
-}
-
-void InstrumentedInterpreter::rollbackSpec(const SpecCheckpoint &Cp) {
-  SpecActive = false;
-  SpecSawEval = SpecWroteLastStmt = false;
-  SpecFacts.clear();
-  SpecStmts.clear();
-  SpecCalls.clear();
-  // Restore pre-images first (refs past the fork point are still live),
-  // then drop the objects the speculation allocated.
-  undoSince(Cp.Mark);
-  TheHeap.truncateTo(Cp.HeapSize);
-  Envs.truncateTo(Cp.EnvSize);
-  Envs.noteShapeChange();
-  if (BC)
-    BC->flushCaches(); // Caches may point into truncated arenas / rolled-back AST.
-  Stats = Cp.Stats;
-  Gov.restore(Cp.Gov);
-  RandomRng.setState(Cp.RandomState);
-  DomRng.setState(Cp.DomState);
-  Epoch = Cp.Epoch;
-  Output.resize(Cp.OutputLen);
-  EventHandlers.resize(Cp.HandlersLen);
-  DomElements = Cp.DomElements;
-  LastStmtValue = Cp.LastStmt;
-  Frames.resize(Cp.FrameDepth);
-  Frames.back() = Cp.TopFrame;
-  CurrentEnv = Cp.CurEnv;
-  CfThrowMark = Cp.ThrowMark;
-  CfBreakMark = Cp.BreakMark;
-  IndetBranchDepth = Cp.IndetDepth;
-  CfAbortRequested = Cp.AbortReq;
-  Degradation = Cp.Degradation;
-  Cp.EvalCtx->rollbackTo(Cp.AstNextID, Cp.AstNodeCount);
-  VStack.resize(Cp.VLen);
-  JStack.resize(Cp.JLen);
-}
-
-bool InstrumentedInterpreter::shadowFoldable(const InstrumentedInterpreter &Sh,
-                                             const SpecCheckpoint &Cp,
-                                             const IComp &CfC) const {
-  // The counterfactual itself must have completed cleanly...
-  if (CfC.K != IComp::Normal)
-    return false;
-  if (Sh.Gov.tripped() || Gov.tripped())
-    return false;
-  // ...without any net effect the fold would have to transplant: no
-  // surviving weakening entries (writes that weren't already weak), no
-  // flush, no abort/degradation, no allocations (facts key synthetic DOM
-  // values by raw ObjectRef, so arena drift is unmergeable), no calls
-  // (context interning, occurrence counters), no output, handlers, DOM
-  // nodes, or pending escape marks.
-  if (Sh.ShadowSawCall || !Sh.J.empty())
-    return false;
-  if (Sh.Epoch != Cp.Epoch)
-    return false;
-  if (Sh.Stats.CounterfactualAborts != Cp.Stats.CounterfactualAborts)
-    return false;
-  if (Sh.Degradation.EventsTotal != Cp.Degradation.EventsTotal)
-    return false;
-  if (Sh.TheHeap.size() != Cp.HeapSize || Sh.Envs.size() != Cp.EnvSize)
-    return false;
-  if (!Sh.Output.empty())
-    return false;
-  if (Sh.EventHandlers.size() != Cp.HandlersLen ||
-      Sh.DomElements.size() != Cp.DomElements.size())
-    return false;
-  if (Sh.CfThrowMark || Sh.CfBreakMark)
-    return false;
-  for (const Frame &F : Sh.Frames)
-    if (F.ReturnEscape)
-      return false;
-  if (Sh.Gov.callsEntered() != Cp.Gov.CallsEntered ||
-      Sh.Gov.evalsEntered() != Cp.Gov.EvalsEntered)
-    return false;
-  // eval-in-speculation parses against the post-counterfactual
-  // LastStmtValue in sequential order; accept only when the counterfactual
-  // demonstrably did not move it.
-  if (SpecSawEval && !sameTagged(Sh.LastStmtValue, Cp.LastStmt))
-    return false;
-  // Budget equivalence: counters are monotonic, so "combined end totals
-  // within every limit" implies no sequential prefix would have tripped —
-  // including the latched heap trip, whose check is also a plain count
-  // comparison.
-  const GovernorLimits &L = Gov.limits();
-  uint64_t DSteps = Sh.Gov.stepsUsed() - Cp.Gov.Steps;
-  uint64_t DHeap = Sh.Gov.heapCellsUsed() - Cp.Gov.HeapCells;
-  uint64_t DFuel = Sh.Gov.cfFuelUsed() - Cp.Gov.CfFuelUsed;
-  if (L.MaxSteps != 0 && Gov.stepsUsed() + DSteps > L.MaxSteps)
-    return false;
-  if (L.MaxHeapCells != 0 && Gov.heapCellsUsed() + DHeap > L.MaxHeapCells)
-    return false;
-  if (L.CfFuel != 0 && Gov.cfFuelUsed() + DFuel > L.CfFuel)
-    return false;
-  return true;
-}
-
-void InstrumentedInterpreter::foldShadow(InstrumentedInterpreter &Sh,
-                                         const SpecCheckpoint &Cp) {
-  SpecActive = false;
-  // Shadow (counterfactual) facts first, then the speculative taken-side
-  // facts: the sequential recording order. Cross-key iteration order is
-  // irrelevant (the per-key merge in record() is commutative and
-  // associative), and the shadow has already merged same-key observations
-  // in its own execution order.
-  for (const auto &[K, V] : Sh.Facts.all()) {
-    Facts.record(K, V);
-    if (IncCapturing)
-      IncFacts.emplace_back(K, V);
-  }
-  for (const auto &[K, V] : SpecFacts) {
-    Facts.record(K, V);
-    if (IncCapturing)
-      IncFacts.emplace_back(K, V);
-  }
-  SpecFacts.clear();
-  for (NodeID N : SpecStmts) {
-    ExecutedStmts.insert(N);
-    if (IncCapturing)
-      IncStmts.push_back(N);
-  }
-  for (NodeID N : SpecCalls) {
-    ExecutedCalls.insert(N);
-    if (IncCapturing)
-      IncCalls.push_back(N);
-  }
-  SpecStmts.clear();
-  SpecCalls.clear();
-
-  // Fingerprinted counters the sequential branch would have bumped.
-  Stats.JournalEntries += Sh.Stats.JournalEntries - Cp.Stats.JournalEntries;
-  Stats.Counterfactuals += Sh.Stats.Counterfactuals - Cp.Stats.Counterfactuals;
-  Stats.SnapshotForks += Sh.Stats.SnapshotForks - Cp.Stats.SnapshotForks;
-  CowSavesFolded += (Sh.TheHeap.cowSaves() - Cp.HeapSaves) +
-                    (Sh.Envs.cowSaves() - Cp.EnvSaves);
-  Gov.applyExternalSpend(Sh.Gov.stepsUsed() - Cp.Gov.Steps,
-                         Sh.Gov.heapCellsUsed() - Cp.Gov.HeapCells,
-                         Sh.Gov.cfFuelUsed() - Cp.Gov.CfFuelUsed,
-                         /*DEvals=*/0, /*DCalls=*/0);
-
-  // Sequentially, a counterfactual branch's statement values leak into
-  // LastStmtValue until the taken side overwrites it.
-  if (!SpecWroteLastStmt)
-    LastStmtValue = Sh.LastStmtValue;
-
-  // Keep the speculation's writes: merge its frame into the enclosing
-  // (base) frame so an outer undoSince can still restore past it.
-  assert(!SnapMarks.empty() && SnapMarks.back() == Cp.Mark &&
-         "speculation frame is not the innermost snapshot frame");
-  TheHeap.commitSnapshot();
-  Envs.commitSnapshot();
-  SnapMarks.pop_back();
-}
-
-bool InstrumentedInterpreter::tryParallelBranch(
-    NodeID Site, const std::vector<StringId> &AbortVd,
-    const std::function<IComp(InstrumentedInterpreter &)> &UntakenExec,
-    const std::function<IComp()> &TakenExec, IComp &Out) {
-  // Eligibility: opted in with a pool, snapshot undo (rollback needs the
-  // frames), top-level branch on the main interpreter, no speculation
-  // already in flight, and no external sequencing the fork would break
-  // (fault-injector checkpoint order, wall-clock deadline). A disabled or
-  // depth-zero counterfactual never explores the untaken side, so there is
-  // nothing to parallelize.
-  if (!Opts.ParallelBranches || !Opts.BranchPool || !SnapMode ||
-      IsShadowBranch || SpecActive || CfDepth != 0 || Opts.Injector ||
-      Gov.limits().DeadlineMs != 0 || !Opts.CounterfactualEnabled ||
-      Opts.CounterfactualDepth == 0)
-    return false;
-  // Adaptive cutoff: call-heavy programs reject nearly every fold
-  // (ShadowSawCall), and each rejected dispatch costs a full arena fork,
-  // a discarded counterfactual run, and a speculation rollback. Stop
-  // dispatching once failures clearly dominate commits.
-  if (ParallelFoldFailures > 4 + 4 * Stats.ParallelBranchCommits)
-    return false;
-  // Profile gate: forking the shadow copies the live heap, environment,
-  // and context state, so a branch only belongs on a worker when its
-  // counterfactual side does enough work to amortize that copy. Unknown
-  // sites dispatch once to seed the profile; known sites must beat the
-  // current fork-cost estimate. Small branches in hot loops over a large
-  // heap would otherwise pay an O(heap) fork per iteration.
-  auto ProfIt = BranchCfSteps.find(Site);
-  if (ProfIt != BranchCfSteps.end() &&
-      ProfIt->second < (TheHeap.size() + Envs.size()) / 4)
-    return false;
-
-  std::unique_ptr<InstrumentedInterpreter> Shadow(
-      new InstrumentedInterpreter(*this, ShadowBranchTag{}));
-  InstrumentedInterpreter *Sh = Shadow.get();
-  uint64_t StepsAtFork = Gov.stepsUsed();
-  IComp CfC = IComp::normal();
-  TaskGroup Group(*Opts.BranchPool);
-  bool Dispatched = Group.submit([Sh, &CfC, &AbortVd, &UntakenExec] {
-    CfC = Sh->counterfactualBranch(AbortVd, [&] { return UntakenExec(*Sh); });
-  });
-  if (!Dispatched)
-    return false; // Pool shut down; sequential path.
-  ++Stats.ParallelBranchTasks;
-
-  SpecCheckpoint Cp = captureSpec();
-  IComp TakenC = TakenExec();
-  bool WaitFailed = false;
-  try {
-    Group.wait();
-  } catch (...) {
-    WaitFailed = true; // Worker raised (OOM, cancelled): treat as unfoldable.
-  }
-
-  // Refresh the site profile with what this counterfactual actually cost
-  // (the shadow's governor continued from the fork point), whether or not
-  // the fold lands: a site that shrinks gets demoted on its next visit.
-  if (!WaitFailed)
-    BranchCfSteps[Site] = Sh->Gov.stepsUsed() - StepsAtFork;
-
-  if (!WaitFailed && shadowFoldable(*Sh, Cp, CfC)) {
-    foldShadow(*Sh, Cp);
-    ++Stats.ParallelBranchCommits;
-    Out = TakenC;
-    return true;
-  }
-  rollbackSpec(Cp);
-  ++ParallelFoldFailures;
-  return false;
-}
-
-void InstrumentedInterpreter::noteBranchCfSteps(NodeID Site,
-                                                uint64_t StepsBefore) {
-  // Only profile where tryParallelBranch could actually dispatch: the main
-  // interpreter's top-level branches with the feature enabled. (Shadows and
-  // nested counterfactuals never fork, so their costs would only pollute
-  // the table.)
-  if (!Opts.ParallelBranches || !Opts.BranchPool || IsShadowBranch ||
-      SpecActive || CfDepth != 0)
-    return;
-  BranchCfSteps[Site] = Gov.stepsUsed() - StepsBefore;
-}
-
-//===----------------------------------------------------------------------===//
 // Fact recording and small helpers
 //===----------------------------------------------------------------------===//
 
 void InstrumentedInterpreter::commitFactRecord(const FactKey &K,
                                                const FactValue &FV) {
-  if (SpecActive) {
-    SpecFacts.emplace_back(K, FV);
-  } else {
-    Facts.record(K, FV);
-    if (IncCapturing)
-      IncFacts.emplace_back(K, FV);
-  }
+  Facts.record(K, FV);
+  if (IncCapturing)
+    IncFacts.emplace_back(K, FV);
 }
 
 void InstrumentedInterpreter::recordFact(FactKind Kind, NodeID Node,
@@ -1399,12 +1004,7 @@ void InstrumentedInterpreter::hoistStmt(const Stmt *S, EnvRef Env) {
 }
 
 void InstrumentedInterpreter::hoist(const std::vector<Stmt *> &Body,
-                                    EnvRef Env, bool FreshEnv) {
-  // Hoisting into a pre-existing scope (toplevel, eval) can add bindings
-  // that shadow outer ones along already-cached resolution chains; a fresh
-  // activation scope cannot, so it skips the cache-invalidating bump.
-  if (!FreshEnv)
-    Envs.noteShapeChange();
+                                    EnvRef Env) {
   for (const Stmt *S : Body)
     hoistStmt(S, Env);
 }
@@ -1454,8 +1054,6 @@ IComp InstrumentedInterpreter::execStmt(const Stmt *S) {
     if (R.abrupt())
       return R.C;
     LastStmtValue = R.V;
-    if (SpecActive)
-      SpecWroteLastStmt = true;
     return IComp::normal();
   }
   case NodeKind::VarDeclStmt: {
@@ -1682,26 +1280,10 @@ IComp InstrumentedInterpreter::execIf(const IfStmt *If) {
   if (Untaken) {
     std::vector<StringId> Vd;
     collectAssignedInStmt(Untaken, Vd);
-    if (Taken) {
-      // Both sides exist: try running them concurrently — the untaken side
-      // counterfactually on a shadow fork, the taken side speculatively
-      // here. Falls through to the sequential order when ineligible or when
-      // the counterfactual had effects the fold cannot reproduce.
-      IComp Out;
-      if (tryParallelBranch(
-              Untaken->getID(), Vd,
-              [Untaken](InstrumentedInterpreter &Sh) {
-                return Sh.execStmt(Untaken);
-              },
-              RunTaken, Out))
-        return Out;
-    }
-    uint64_t CfSteps0 = Gov.stepsUsed();
     IComp CF =
         counterfactualBranch(Vd, [&] { return execStmt(Untaken); });
     if (CF.K == IComp::Fatal)
       return CF;
-    noteBranchCfSteps(Untaken->getID(), CfSteps0);
   }
   if (!Taken)
     return IComp::normal();
@@ -1932,9 +1514,7 @@ IComp InstrumentedInterpreter::execForIn(const ForInStmt *F) {
 //===----------------------------------------------------------------------===//
 
 IRes InstrumentedInterpreter::readProperty(const TaggedValue &Base,
-                                           StringId Name, Det NameDet,
-                                           const Slot *OwnHint,
-                                           const Slot **OwnOut) {
+                                           StringId Name, Det NameDet) {
   Det DIn = meet(Base.D, NameDet);
   switch (Base.V.Kind) {
   case ValueKind::Undefined:
@@ -1966,22 +1546,15 @@ IRes InstrumentedInterpreter::readProperty(const TaggedValue &Base,
   case ValueKind::Object: {
     ObjectRef O = Base.V.Obj;
     Det MissDet = Det::Determinate;
-    // A valid inline-cache hint skips the own-property hash probe only; all
-    // determinacy logic below (slot epoch, DOM rule) is re-evaluated.
-    const Slot *Hint = OwnHint;
     while (O) {
       const JSObject &Obj = TheHeap.get(O);
-      const Slot *S = Hint ? Hint : Obj.get(Name);
-      Hint = nullptr;
-      if (S) {
+      if (const Slot *S = Obj.get(Name)) {
         Det D = meet(DIn, meet(MissDet, slotDet(*S)));
         // Paper Section 4: any value read from a DOM data structure is
         // indeterminate (native members exempt so DOM *methods* resolve).
         if (Obj.Class == ObjectClass::Dom && !(S->V.isObject() &&
             TheHeap.get(S->V.Obj).Class == ObjectClass::Native))
           D = meet(D, domDet());
-        if (OwnOut && O == Base.V.Obj)
-          *OwnOut = S;
         return IRes::value(TaggedValue(S->V, D));
       }
       if (Obj.Class == ObjectClass::Dom && O == Base.V.Obj) {
@@ -2060,57 +1633,29 @@ IRes InstrumentedInterpreter::evalBranchExpr(const TaggedValue &CondV,
   }
   // Indeterminate condition: explore the untaken side counterfactually
   // against the shared pre-branch state.
-  IRes TakenR;
-  auto RunTaken = [&]() -> IComp {
-    Journal::Mark M = J.mark();
-    ++IndetBranchDepth;
-    IRes R = evalExpr(Taken);
-    --IndetBranchDepth;
-    markIndetSince(M);
-    if (R.abrupt()) {
-      if (R.C.K != IComp::Fatal)
-        R.C.IndetControl = true;
-      TakenR = R;
-      return R.C;
-    }
-    TakenR = IRes::value(R.V.asIndeterminate());
-    return IComp::normal();
-  };
   if (Untaken) {
     std::vector<StringId> Vd;
     collectAssignedInExpr(Untaken, Vd);
-    if (Taken) {
-      IComp Out;
-      if (tryParallelBranch(
-              Untaken->getID(), Vd,
-              [Untaken](InstrumentedInterpreter &Sh) {
-                return Sh.evalExpr(Untaken).C;
-              },
-              RunTaken, Out))
-        return TakenR;
-    }
-    uint64_t CfSteps0 = Gov.stepsUsed();
-    IComp CF = counterfactualBranch(Vd, [&] {
-      IRes R = evalExpr(Untaken);
-      return R.C;
-    });
+    IComp CF = counterfactualBranch(Vd, [&] { return evalExpr(Untaken).C; });
     if (CF.K == IComp::Fatal)
       return IRes::abruptly(CF);
-    noteBranchCfSteps(Untaken->getID(), CfSteps0);
   }
   if (!Taken)
     return IRes::value(CondV.asIndeterminate());
-  RunTaken();
-  return TakenR;
+  Journal::Mark M = J.mark();
+  ++IndetBranchDepth;
+  IRes R = evalExpr(Taken);
+  --IndetBranchDepth;
+  markIndetSince(M);
+  if (R.abrupt()) {
+    if (R.C.K != IComp::Fatal)
+      R.C.IndetControl = true;
+    return R;
+  }
+  return IRes::value(R.V.asIndeterminate());
 }
 
 IRes InstrumentedInterpreter::evalExpr(const Expr *E) {
-  // Tiered: cold roots tree-walk (identical semantics), hot roots run their
-  // compiled chunk — one-shot code never pays compilation.
-  if (BC) {
-    if (const bc::Chunk *Ch = BC->lookupHot(E->getID(), E))
-      return vmRun(*Ch, 0, static_cast<uint32_t>(Ch->Code.size()));
-  }
   IComp Tick;
   if (!tick(Tick))
     return IRes::abruptly(Tick);
@@ -2511,11 +2056,6 @@ IRes InstrumentedInterpreter::evalCall(const CallExpr *E) {
 }
 
 ContextID InstrumentedInterpreter::enterSite(NodeID Site, uint32_t Line) {
-  // A call inside a shadow counterfactual makes the fork's effects too broad
-  // to fold back (SiteCounts, context interning, handler registration can all
-  // diverge); the parallel-branch commit check rejects the fork.
-  if (IsShadowBranch)
-    ShadowSawCall = true;
   uint32_t Occ = Frames.back().SiteCounts[Site]++;
   return Contexts.intern(currentCtx(), Site, Occ, Line);
 }
@@ -2584,7 +2124,7 @@ IRes InstrumentedInterpreter::callClosure(ObjectRef FnObj, Det CalleeDet,
     declareVar(CallEnv, Params[I], std::move(V));
   }
   const auto *Body = cast<BlockStmt>(Fn->getBody());
-  hoist(Body->getBody(), CallEnv, /*FreshEnv=*/true);
+  hoist(Body->getBody(), CallEnv);
 
   EnvRef SavedEnv = CurrentEnv;
   CurrentEnv = CallEnv;
@@ -2694,8 +2234,6 @@ IRes InstrumentedInterpreter::evalEval(NodeID Site,
                                        ContextID ChildCtx) {
   TaggedValue Arg = Args.empty() ? TaggedValue() : Args[0];
   recordFactAt(FactKind::EvalArg, Site, ChildCtx, Arg);
-  if (SpecActive)
-    SpecSawEval = true;
   if (!Arg.V.isString())
     return IRes::value(Arg);
 
@@ -2715,7 +2253,7 @@ IRes InstrumentedInterpreter::evalEval(NodeID Site,
     C.IndetControl = Arg.D == Det::Indeterminate;
     return IRes::abruptly(C);
   }
-  hoist(Body, CurrentEnv, /*FreshEnv=*/false);
+  hoist(Body, CurrentEnv);
 
   TaggedValue Saved = LastStmtValue;
   LastStmtValue = TaggedValue();
@@ -2776,7 +2314,7 @@ bool InstrumentedInterpreter::run() {
   Gov.startClock();
   CurrentEnv = GlobalEnv;
   Frames.back().ThisV = TaggedValue(Value::object(WindowObj));
-  hoist(Prog.Body, GlobalEnv, /*FreshEnv=*/false);
+  hoist(Prog.Body, GlobalEnv);
   IComp C = incrementalActive() ? execProgramBody() : execBlockBody(Prog.Body);
   Stats.StepsUsed = Gov.stepsUsed();
   if (C.K == IComp::Throw) {

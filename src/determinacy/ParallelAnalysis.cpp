@@ -42,8 +42,6 @@ void dda::mergeAnalysisResults(AnalysisResult &Merged, AnalysisResult &&R) {
   Merged.Stats.StepsUsed += R.Stats.StepsUsed;
   Merged.Stats.SnapshotForks += R.Stats.SnapshotForks;
   Merged.Stats.CowCopies += R.Stats.CowCopies;
-  Merged.Stats.ParallelBranchTasks += R.Stats.ParallelBranchTasks;
-  Merged.Stats.ParallelBranchCommits += R.Stats.ParallelBranchCommits;
   Merged.Stats.IncrementalRegions += R.Stats.IncrementalRegions;
   Merged.Stats.IncrementalReplays += R.Stats.IncrementalReplays;
   Merged.Stats.ReplayedFacts += R.Stats.ReplayedFacts;

@@ -91,22 +91,6 @@ public:
 
   size_t size() const { return Envs.size() - 1; }
 
-  /// Arena-wide binding-set generation; see noteShapeChange().
-  uint32_t shapeGen() const { return ShapeG; }
-
-  /// Records a change to some environment's binding *set* that could affect
-  /// name resolution through pre-existing scope chains: an insert into an
-  /// environment that already had lookups routed through it (sloppy-mode
-  /// global creation, eval hoisting into the caller's scope) or any binding
-  /// erase (counterfactual journal undo). The bytecode VMs' variable inline
-  /// caches key cached Binding pointers on (start EnvRef, shapeGen) and
-  /// refill on mismatch. Inserts into freshly allocated environments
-  /// (call/catch/function-wrapper scopes) need no bump: a fresh environment
-  /// cannot appear on any chain an existing cache entry resolved through, and
-  /// unordered_map node stability keeps Binding pointers valid across
-  /// unrelated inserts.
-  void noteShapeChange() { ++ShapeG; }
-
   /// Iterates every environment (conservative whole-environment taint).
   template <typename Fn> void forEach(Fn F) {
     for (size_t I = 1; I < Envs.size(); ++I)
@@ -137,36 +121,14 @@ public:
       Gov->noteCowSave();
   }
 
-  /// Restores pre-images in reverse save order. Any restore replaces a
-  /// binding map wholesale (erases included), so the arena-wide shape
-  /// generation is bumped once when anything was restored — the same
-  /// invalidation a journal undo's erases would have produced.
+  /// Restores pre-images in reverse save order.
   void restoreSnapshot() {
     assert(!Snapshots.empty() && "no snapshot frame to restore");
     SnapshotFrame &F = Snapshots.back();
-    bool Any = !F.Saved.empty();
     for (auto It = F.Saved.rbegin(); It != F.Saved.rend(); ++It)
       Envs[It->first] = std::move(It->second);
     Snapshots.pop_back();
-    if (Any)
-      noteShapeChange();
   }
-
-  void commitSnapshot() {
-    assert(!Snapshots.empty() && "no snapshot frame to commit");
-    SnapshotFrame F = std::move(Snapshots.back());
-    Snapshots.pop_back();
-    if (!Snapshots.empty()) {
-      SnapshotFrame &P = Snapshots.back();
-      for (auto &E : F.Saved)
-        P.Saved.push_back(std::move(E));
-    }
-  }
-
-  void dropSnapshotsForFork() { Snapshots.clear(); }
-
-  /// Parks the truncated environments for pooled reuse (mirrors Heap).
-  void truncateTo(size_t N) { Envs.truncateTo(N + 1); }
 
   size_t snapshotDepth() const { return Snapshots.size(); }
   uint64_t cowSaves() const { return CowSaveCount; }
@@ -179,9 +141,8 @@ private:
   };
 
   // Chunked arena (was std::deque): same reference stability, chunk size
-  // tuned to the element, pooled reuse across speculation rollbacks.
+  // tuned to the element.
   ChunkedArena<Environment> Envs;
-  uint32_t ShapeG = 1;
   ResourceGovernor *Gov = nullptr;
   std::vector<SnapshotFrame> Snapshots;
   uint32_t SnapGen = 0;

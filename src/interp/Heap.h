@@ -116,14 +116,6 @@ public:
   void eraseMaybeAbsent(StringId Name) { sortedErase(MaybeAbsent, Name); }
   void eraseMaybePresent(StringId Name) { sortedErase(MaybePresent, Name); }
 
-  /// Bumped whenever the own-property *set* changes (insert or erase).
-  /// The bytecode VMs' inline caches key cached Slot pointers on
-  /// (ObjectRef, ShapeGen): value overwrites keep the generation because
-  /// unordered_map nodes are stable under everything but erase of the node
-  /// itself, so a matching generation proves the pointer is still live and
-  /// still the closest (own) slot for its name.
-  uint32_t ShapeGen = 0;
-
   /// Generation of the innermost snapshot frame that already holds a
   /// pre-image of this object (copy-on-write stamp); 0 = never saved. See
   /// Heap::ensureSaved.
@@ -144,19 +136,12 @@ public:
   }
 
   /// Creates or overwrites the slot for \p Name, maintaining insertion order.
-  /// Returns the stored slot (stable address until the property is erased);
-  /// \p Inserted reports whether the property was newly created.
-  Slot *set(StringId Name, Slot S, bool *InsertedOut = nullptr) {
+  void set(StringId Name, Slot S) {
     auto [It, Inserted] = Props.try_emplace(Name, S);
-    if (Inserted) {
+    if (Inserted)
       Order.push_back(Name);
-      ++ShapeGen;
-    } else {
+    else
       It->second = S;
-    }
-    if (InsertedOut)
-      *InsertedOut = Inserted;
-    return &It->second;
   }
 
   /// Removes a property; returns true if it existed. The insertion-order
@@ -168,7 +153,6 @@ public:
       return false;
     Props.erase(It);
     Order.erase(std::find(Order.begin(), Order.end(), Name));
-    ++ShapeGen;
     return true;
   }
 
@@ -186,10 +170,9 @@ public:
   std::unordered_map<StringId, Slot> &slots() { return Props; }
 
   /// Restores the freshly-constructed state in place (ChunkedArena pool
-  /// reuse after a speculation rollback). Observable state must be
-  /// byte-equivalent to destroy+reconstruct — ShapeGen/SaveGen return to
-  /// zero exactly as a new object's would — while the containers keep
-  /// their allocated capacity.
+  /// reuse). Observable state must be byte-equivalent to
+  /// destroy+reconstruct — SaveGen returns to zero exactly as a new
+  /// object's would — while the containers keep their allocated capacity.
   void reset() {
     Class = ObjectClass::Plain;
     Proto = 0;
@@ -201,7 +184,6 @@ public:
     ExplicitlyOpen = false;
     MaybeAbsent.clear();
     MaybePresent.clear();
-    ShapeGen = 0;
     SaveGen = 0;
     Props.clear();
     Order.clear();
@@ -242,8 +224,6 @@ public:
   ObjectRef allocate(ObjectClass Class, NodeID AllocSite = 0) {
     if (Gov)
       Gov->noteHeapCell();
-    // push() either constructs a fresh object or resets a parked one
-    // (speculation-rollback pool reuse); both start byte-identical.
     JSObject &O = Objects.push();
     O.Class = Class;
     O.AllocSite = AllocSite;
@@ -284,8 +264,7 @@ public:
 
   /// Opens a snapshot frame. \p Charged frames bill each pre-image copy to
   /// the governor's heap-cell budget (counterfactual branches; see
-  /// ResourceGovernor::noteCowSave); uncharged frames (the base frame and
-  /// speculation frames) do not.
+  /// ResourceGovernor::noteCowSave); the uncharged base frame does not.
   void beginSnapshot(bool Charged) {
     Snapshots.push_back(SnapshotFrame{++SnapGen, Charged, {}});
   }
@@ -309,51 +288,14 @@ public:
   /// Undoes every write made since the innermost frame opened by assigning
   /// the pre-images back in reverse save order (an outer frame may hold two
   /// copies of one object around a committed inner frame; the older one,
-  /// applied last, wins). Each restored object gets a ShapeGen strictly
-  /// above its live value: assignment replaces the property map wholesale,
-  /// so any inline-cache pointer into the old nodes must be invalidated.
+  /// applied last, wins).
   void restoreSnapshot() {
     assert(!Snapshots.empty() && "no snapshot frame to restore");
     SnapshotFrame &F = Snapshots.back();
-    for (auto It = F.Saved.rbegin(); It != F.Saved.rend(); ++It) {
-      JSObject &Live = Objects[It->first];
-      uint32_t FreshShape = Live.ShapeGen + 1;
-      Live = std::move(It->second);
-      Live.ShapeGen = FreshShape;
-    }
+    for (auto It = F.Saved.rbegin(); It != F.Saved.rend(); ++It)
+      Objects[It->first] = std::move(It->second);
     Snapshots.pop_back();
   }
-
-  /// Closes the innermost frame keeping its writes. Its pre-images are
-  /// *merged* into the enclosing frame (appended, so reverse-order restore
-  /// still applies the enclosing frame's own, older copies last): an object
-  /// first written inside the committed frame has its only pre-image there,
-  /// and the enclosing frame must still be able to undo past the commit.
-  /// With no enclosing frame the pre-images are dropped. Live objects keep
-  /// the dead frame's stamp, which no future frame generation can equal, so
-  /// the enclosing frame re-saves them on their next write (a harmless
-  /// duplicate copy).
-  void commitSnapshot() {
-    assert(!Snapshots.empty() && "no snapshot frame to commit");
-    SnapshotFrame F = std::move(Snapshots.back());
-    Snapshots.pop_back();
-    if (!Snapshots.empty()) {
-      SnapshotFrame &P = Snapshots.back();
-      for (auto &E : F.Saved)
-        P.Saved.push_back(std::move(E));
-    }
-  }
-
-  /// For a deep-copied (forked) heap: drops the frames copied from the
-  /// parent — they guard the *parent's* journal marks — while keeping the
-  /// generation counter monotonic so stale SaveGen stamps never collide
-  /// with a new frame.
-  void dropSnapshotsForFork() { Snapshots.clear(); }
-
-  /// Shrinks the arena back to \p N objects (speculation rollback; \p N was
-  /// captured via size() at the fork point). The removed objects are parked
-  /// for pooled reuse, not destroyed.
-  void truncateTo(size_t N) { Objects.truncateTo(N + 1); }
 
   size_t snapshotDepth() const { return Snapshots.size(); }
   uint64_t cowSaves() const { return CowSaveCount; }
@@ -366,9 +308,8 @@ private:
   };
 
   // Chunked arena: object references handed out as JSObject& stay valid
-  // across later allocations (chunks never move), chunks are sized in
-  // objects rather than libstdc++'s 512-byte deque blocks, and truncated
-  // objects are pooled for reuse across counterfactual churn.
+  // across later allocations (chunks never move), and chunks are sized in
+  // objects rather than libstdc++'s 512-byte deque blocks.
   ChunkedArena<JSObject> Objects;
   ResourceGovernor *Gov = nullptr;
   std::vector<SnapshotFrame> Snapshots;

@@ -126,11 +126,6 @@ bool dda::serve::parseRequest(const std::string &Line, Request &Out,
                          "seeds must be non-negative integers");
         Out.Seeds.push_back(Seed);
       }
-    } else if (Key == "engine") {
-      ExecEngine E;
-      if (!V.isString() || !parseExecEngine(V.str(), E))
-        return failReq(EK, Message, "engine must be 'bytecode' or 'tree'");
-      Out.Engine = E;
     } else if (Key == "detdom") {
       if (!V.isBool())
         return failReq(EK, Message, "detdom must be a boolean");
@@ -257,7 +252,6 @@ int dda::serve::analysisExitCode(const AnalysisResult &R) {
 }
 
 std::string dda::serve::analysisPayloadJson(const AnalysisResult &R,
-                                            ExecEngine Engine,
                                             const std::vector<uint64_t> &Seeds) {
   std::string Out;
   Out.reserve(256 + R.Output.size());
@@ -283,9 +277,7 @@ std::string dda::serve::analysisPayloadJson(const AnalysisResult &R,
                 static_cast<unsigned long long>(factFingerprint(R)));
   Out += "{\"status\":\"ok\",\"exit_code\":";
   Out += std::to_string(analysisExitCode(R));
-  Out += ",\"engine\":\"";
-  Out += execEngineName(Engine);
-  Out += "\",\"seeds\":[";
+  Out += ",\"seeds\":[";
   for (size_t I = 0; I < Seeds.size(); ++I) {
     if (I)
       Out += ',';
@@ -314,16 +306,11 @@ std::string dda::serve::analysisPayloadJson(const AnalysisResult &R,
   Out += std::to_string(R.Stats.Counterfactuals);
   // Undo-engine observability. Deliberately NOT part of the fingerprint:
   // these describe how branches were undone, not what the analysis
-  // concluded, and legitimately differ between undo engines and with
-  // branch parallelism on or off.
+  // concluded, and legitimately differ between undo engines.
   Out += ",\"snapshot_forks\":";
   Out += std::to_string(R.Stats.SnapshotForks);
   Out += ",\"cow_copies\":";
   Out += std::to_string(R.Stats.CowCopies);
-  Out += ",\"parallel_branch_tasks\":";
-  Out += std::to_string(R.Stats.ParallelBranchTasks);
-  Out += ",\"parallel_branch_commits\":";
-  Out += std::to_string(R.Stats.ParallelBranchCommits);
   Out += ",\"output\":";
   json::appendQuoted(Out, R.Output);
   Out += '}';

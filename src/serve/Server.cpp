@@ -556,7 +556,6 @@ std::string Server::handleAnalyze(const Request &Req, bool &Cached) {
   }
 
   // Effective options: request overrides folded under the service ceiling.
-  ExecEngine Engine = Req.Engine.value_or(Opts.Engine);
   bool DetDom = Req.DetDom.value_or(Opts.DetDom);
   AnalysisOptions AOpts;
   GovernorLimits ReqLimits = AOpts.governorLimits();
@@ -591,7 +590,6 @@ std::string Server::handleAnalyze(const Request &Req, bool &Cached) {
     LocalInjector.reset();
 
   AOpts.DomSeed = Opts.DomSeed;
-  AOpts.Engine = Engine;
   AOpts.DeterminateDom = DetDom;
   AOpts.MaxSteps = Limits.MaxSteps;
   AOpts.DeadlineMs = Limits.DeadlineMs;
@@ -613,7 +611,7 @@ std::string Server::handleAnalyze(const Request &Req, bool &Cached) {
   {
     // Everything that can change the result participates: the program
     // bytes, and the one shared definition of "same options"
-    // (optionVectorFingerprint, which covers engine, DOM mode and seed,
+    // (optionVectorFingerprint, which covers DOM mode and seed,
     // every composed budget, and the injector spec) folded with the
     // request's seed list.
     uint64_t OptFold = optionVectorFingerprint(
@@ -721,10 +719,6 @@ std::string Server::handleAnalyze(const Request &Req, bool &Cached) {
   Stats.SnapshotForks.fetch_add(R.Stats.SnapshotForks,
                                 std::memory_order_relaxed);
   Stats.CowCopies.fetch_add(R.Stats.CowCopies, std::memory_order_relaxed);
-  Stats.ParallelBranchTasks.fetch_add(R.Stats.ParallelBranchTasks,
-                                      std::memory_order_relaxed);
-  Stats.ParallelBranchCommits.fetch_add(R.Stats.ParallelBranchCommits,
-                                        std::memory_order_relaxed);
   Stats.IncrementalHits.fetch_add(R.Stats.IncrementalReplays,
                                   std::memory_order_relaxed);
   Stats.ReplayedFacts.fetch_add(R.Stats.ReplayedFacts,
@@ -740,7 +734,7 @@ std::string Server::handleAnalyze(const Request &Req, bool &Cached) {
     (void)Store.commit(CommitErr);
   }
 
-  Payload = analysisPayloadJson(R, Engine, Req.Seeds);
+  Payload = analysisPayloadJson(R, Req.Seeds);
   // Deadline traps depend on wall-clock scheduling, not on the key — the
   // one outcome that must never be replayed from cache.
   if (!Req.NoCache && R.Trap != TrapKind::Deadline)
@@ -775,8 +769,6 @@ std::string Server::statsJson() const {
   Add("overdue_observed", Stats.OverdueObserved.load());
   Add("snapshot_forks", Stats.SnapshotForks.load());
   Add("cow_copies", Stats.CowCopies.load());
-  Add("parallel_branch_tasks", Stats.ParallelBranchTasks.load());
-  Add("parallel_branch_commits", Stats.ParallelBranchCommits.load());
   Add("incremental_hits", Stats.IncrementalHits.load());
   Add("dirty_nodes", Stats.DirtyNodes.load());
   Add("replayed_facts", Stats.ReplayedFacts.load());

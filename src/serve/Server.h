@@ -91,8 +91,7 @@ struct ServeOptions {
   /// tighten it.
   GovernorLimits Ceiling;
 
-  ExecEngine Engine = defaultExecEngine(); ///< Default request engine.
-  bool DetDom = false;                     ///< Default request DOM mode.
+  bool DetDom = false; ///< Default request DOM mode.
   uint64_t DomSeed = 1;
 
   /// Service-level fault injection (`ddajs serve --inject-fault`): cloned
@@ -136,8 +135,6 @@ struct ServeStats {
   // service ran (all seeds of all requests).
   std::atomic<uint64_t> SnapshotForks{0};  ///< COW snapshot frames opened.
   std::atomic<uint64_t> CowCopies{0};      ///< Pre-images saved by COW writes.
-  std::atomic<uint64_t> ParallelBranchTasks{0};   ///< Branches sent to a pool.
-  std::atomic<uint64_t> ParallelBranchCommits{0}; ///< Folded without rerun.
   // Incremental-replay observability (same mechanism-not-conclusions
   // contract): regions warm-started from the fact store, facts replayed
   // from summaries, fresh summaries captured, and — from the tree-diff of

@@ -9,13 +9,11 @@
 /// chunk size tuned to the element (libstdc++'s deque uses 512-*byte*
 /// blocks — about three JSObjects per block — so allocation-heavy programs
 /// pay a malloc every third object). It is also *pooled*: `truncateTo`
-/// (speculation rollback) does not destroy elements, it parks them; the
-/// next allocation calls `T::reset()` on a parked element — which must
-/// restore every field to its freshly-constructed state — so the element's
-/// containers keep their buckets/capacity across counterfactual churn.
-/// Observable state after reset is byte-equivalent to destroy+reconstruct
-/// (ShapeGen/SaveGen zero, empty maps), which is what the snapshot/journal
-/// byte-identity suites check.
+/// does not destroy elements, it parks them; the next allocation calls
+/// `T::reset()` on a parked element — which must restore every field to
+/// its freshly-constructed state — so the element's containers keep their
+/// buckets/capacity. Observable state after reset is byte-equivalent to
+/// destroy+reconstruct (SaveGen zero, empty maps).
 ///
 /// `SmallVec<T, N>` is a small-size-optimized vector for trivially copyable
 /// elements, used for `JSObject::MaybeAbsent`/`MaybePresent`: almost every
@@ -249,7 +247,8 @@ public:
     uint32_t Want = static_cast<uint32_t>(Last - First);
     if (Want > Cap)
       grow(Want);
-    std::memmove(static_cast<void *>(Ptr), First, sizeof(T) * Want);
+    if (Want) // An empty range may be (nullptr, nullptr): memmove forbids it.
+      std::memmove(static_cast<void *>(Ptr), First, sizeof(T) * Want);
     Sz = Want;
   }
 

@@ -239,26 +239,17 @@ public:
   unsigned evalDepth() const { return EvalDepth; }
   const GovernorLimits &limits() const { return Limits; }
 
-  /// Full mutable budget state, for speculative execution: the parallel
-  /// branch engine checkpoints the governor before running the taken side
-  /// speculatively and restores it when the speculation is rolled back.
-  /// The injector pointer and limits are not part of the checkpoint (they
-  /// are stable for a run); injector-internal counters are the injector's
-  /// own business and speculation is disabled when one is attached.
+  /// The budget counters at one instant. Incremental region capture diffs
+  /// two checkpoints to record a region's governor spend, and refuses to
+  /// capture once a budget tripped.
   struct Checkpoint {
     uint64_t Steps = 0;
     uint64_t HeapCells = 0;
     uint64_t CfFuelUsed = 0;
     uint64_t EvalsEntered = 0;
     uint64_t CallsEntered = 0;
-    unsigned CallDepth = 0;
-    unsigned EvalDepth = 0;
-    bool Armed = false;
     bool HeapTripLatched = false;
-    bool HeapTripInjected = false;
     bool Tripped = false;
-    TripInfo Trip;
-    Clock::time_point Start;
   };
 
   Checkpoint checkpoint() const {
@@ -268,38 +259,16 @@ public:
     C.CfFuelUsed = CfFuelUsed;
     C.EvalsEntered = EvalsEntered;
     C.CallsEntered = CallsEntered;
-    C.CallDepth = CallDepth;
-    C.EvalDepth = EvalDepth;
-    C.Armed = Armed;
     C.HeapTripLatched = HeapTripLatched;
-    C.HeapTripInjected = HeapTripInjected;
     C.Tripped = Tripped;
-    C.Trip = Trip;
-    C.Start = Start;
     return C;
   }
 
-  void restore(const Checkpoint &C) {
-    Steps = C.Steps;
-    HeapCells = C.HeapCells;
-    CfFuelUsed = C.CfFuelUsed;
-    EvalsEntered = C.EvalsEntered;
-    CallsEntered = C.CallsEntered;
-    CallDepth = C.CallDepth;
-    EvalDepth = C.EvalDepth;
-    Armed = C.Armed;
-    HeapTripLatched = C.HeapTripLatched;
-    HeapTripInjected = C.HeapTripInjected;
-    Tripped = C.Tripped;
-    Trip = C.Trip;
-    Start = C.Start;
-  }
-
-  /// Folds spend observed elsewhere (a committed parallel counterfactual,
-  /// metered by its own governor) into this governor's counters, so totals
-  /// match what the sequential execution would have consumed. The caller
-  /// has already validated that the combined totals stay within every
-  /// configured limit; this never trips.
+  /// Folds spend observed elsewhere (a replayed region summary, whose
+  /// execution was metered when it was captured) into this governor's
+  /// counters, so totals match what executing the region would have
+  /// consumed. The summary was captured under the same limits without a
+  /// trip, so the combined totals stay within them; this never trips.
   void applyExternalSpend(uint64_t DSteps, uint64_t DHeapCells,
                           uint64_t DCfFuel, uint64_t DEvals, uint64_t DCalls) {
     Steps += DSteps;

@@ -6,14 +6,12 @@
 /// (including journal-entry counts — the slim journal still logs every
 /// write for vd/pd marking), executed sets, and exit codes, across every
 /// workload family (paper figures, miniquery, the eval suite's
-/// runtime-compiled overlays, generated fuzz programs), both expression
-/// engines, injected faults, seed fan-outs at jobs 1 and 8, and with
-/// intra-run branch parallelism on or off.
+/// runtime-compiled overlays, generated fuzz programs), injected faults,
+/// and seed fan-outs at jobs 1 and 8.
 ///
-/// The snapshot-only counters (SnapshotForks, CowCopies,
-/// ParallelBranchTasks/Commits) are deliberately excluded from the
-/// fingerprint: they describe *how* undo was done, not what the analysis
-/// concluded, and legitimately differ between engines.
+/// The snapshot-only counters (SnapshotForks, CowCopies) are deliberately
+/// excluded from the fingerprint: they describe *how* undo was done, not
+/// what the analysis concluded, and legitimately differ between engines.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -23,7 +21,6 @@
 #include "parser/Parser.h"
 #include "serve/Protocol.h"
 #include "support/FaultInjector.h"
-#include "support/ThreadPool.h"
 #include "workloads/ProgramGenerator.h"
 #include "workloads/Workloads.h"
 
@@ -43,8 +40,8 @@ Program parseOk(const std::string &Source) {
   return P;
 }
 
-/// Same sweep as the bytecode differential suite: figures, miniquery,
-/// runnable eval-suite overlays, and a band of generated fuzz programs.
+/// Figures, miniquery, runnable eval-suite overlays, and a band of
+/// generated fuzz programs.
 std::vector<std::pair<std::string, std::string>> corpus() {
   std::vector<std::pair<std::string, std::string>> Out;
   Out.emplace_back("figure1", workloads::figure1());
@@ -69,8 +66,8 @@ std::vector<std::pair<std::string, std::string>> corpus() {
 }
 
 /// Everything the undo engines must agree on, rendered to one string so a
-/// divergence shows up as a readable diff. Mirrors the bytecode suite's
-/// fingerprint and adds the serve-layer exit code.
+/// divergence shows up as a readable diff, including the serve-layer exit
+/// code.
 std::string undoFingerprint(const AnalysisResult &R) {
   std::ostringstream OS;
   OS << "ok=" << R.Ok << " trap=" << static_cast<int>(R.Trap)
@@ -91,10 +88,9 @@ std::string undoFingerprint(const AnalysisResult &R) {
   return OS.str();
 }
 
-AnalysisOptions undoOptions(UndoEngine Undo, ExecEngine Engine) {
+AnalysisOptions undoOptions(UndoEngine Undo) {
   AnalysisOptions Opts;
   Opts.Undo = Undo;
-  Opts.Engine = Engine;
   Opts.RecordAllExpressions = true; // Max-coverage fact surface.
   return Opts;
 }
@@ -102,22 +98,19 @@ AnalysisOptions undoOptions(UndoEngine Undo, ExecEngine Engine) {
 class SnapshotDifferentialTest
     : public ::testing::TestWithParam<std::pair<std::string, std::string>> {};
 
-/// Core contract: for every corpus program and both expression engines,
-/// snapshot undo and journal undo produce byte-identical results.
+/// Core contract: for every corpus program, snapshot undo and journal undo
+/// produce byte-identical results.
 TEST_P(SnapshotDifferentialTest, SnapshotMatchesJournal) {
   const std::string &Source = GetParam().second;
-  for (ExecEngine Engine : {ExecEngine::TreeWalk, ExecEngine::Bytecode}) {
-    Program PS = parseOk(Source);
-    AnalysisResult Snap =
-        runDeterminacyAnalysis(PS, undoOptions(UndoEngine::Snapshot, Engine));
+  Program PS = parseOk(Source);
+  AnalysisResult Snap =
+      runDeterminacyAnalysis(PS, undoOptions(UndoEngine::Snapshot));
 
-    Program PJ = parseOk(Source);
-    AnalysisResult Jour =
-        runDeterminacyAnalysis(PJ, undoOptions(UndoEngine::Journal, Engine));
+  Program PJ = parseOk(Source);
+  AnalysisResult Jour =
+      runDeterminacyAnalysis(PJ, undoOptions(UndoEngine::Journal));
 
-    EXPECT_EQ(undoFingerprint(Snap), undoFingerprint(Jour))
-        << "engine=" << execEngineName(Engine);
-  }
+  EXPECT_EQ(undoFingerprint(Snap), undoFingerprint(Jour));
 }
 
 /// Injected budget faults must trip at the same checkpoint and degrade to
@@ -125,45 +118,21 @@ TEST_P(SnapshotDifferentialTest, SnapshotMatchesJournal) {
 TEST_P(SnapshotDifferentialTest, InjectedFaultAgreement) {
   const std::string &Source = GetParam().second;
   std::string Error;
-  for (ExecEngine Engine : {ExecEngine::TreeWalk, ExecEngine::Bytecode}) {
-    auto SnapInj = FaultInjector::parse("steps:300", &Error);
-    ASSERT_TRUE(SnapInj) << Error;
-    AnalysisOptions SnapOpts = undoOptions(UndoEngine::Snapshot, Engine);
-    SnapOpts.Injector = &*SnapInj;
-    Program PS = parseOk(Source);
-    AnalysisResult Snap = runDeterminacyAnalysis(PS, SnapOpts);
+  auto SnapInj = FaultInjector::parse("steps:300", &Error);
+  ASSERT_TRUE(SnapInj) << Error;
+  AnalysisOptions SnapOpts = undoOptions(UndoEngine::Snapshot);
+  SnapOpts.Injector = &*SnapInj;
+  Program PS = parseOk(Source);
+  AnalysisResult Snap = runDeterminacyAnalysis(PS, SnapOpts);
 
-    auto JourInj = FaultInjector::parse("steps:300", &Error);
-    ASSERT_TRUE(JourInj) << Error;
-    AnalysisOptions JourOpts = undoOptions(UndoEngine::Journal, Engine);
-    JourOpts.Injector = &*JourInj;
-    Program PJ = parseOk(Source);
-    AnalysisResult Jour = runDeterminacyAnalysis(PJ, JourOpts);
+  auto JourInj = FaultInjector::parse("steps:300", &Error);
+  ASSERT_TRUE(JourInj) << Error;
+  AnalysisOptions JourOpts = undoOptions(UndoEngine::Journal);
+  JourOpts.Injector = &*JourInj;
+  Program PJ = parseOk(Source);
+  AnalysisResult Jour = runDeterminacyAnalysis(PJ, JourOpts);
 
-    EXPECT_EQ(undoFingerprint(Snap), undoFingerprint(Jour))
-        << "engine=" << execEngineName(Engine);
-  }
-}
-
-/// Intra-run branch parallelism must be unobservable: same program, same
-/// seeds, pool on vs off — byte-identical merged results, both engines.
-TEST_P(SnapshotDifferentialTest, ParallelBranchesMatchSequential) {
-  const std::string &Source = GetParam().second;
-  ThreadPool Pool(4);
-  for (ExecEngine Engine : {ExecEngine::TreeWalk, ExecEngine::Bytecode}) {
-    Program PSeq = parseOk(Source);
-    AnalysisResult Seq = runDeterminacyAnalysis(
-        PSeq, undoOptions(UndoEngine::Snapshot, Engine));
-
-    AnalysisOptions ParOpts = undoOptions(UndoEngine::Snapshot, Engine);
-    ParOpts.ParallelBranches = true;
-    ParOpts.BranchPool = &Pool;
-    Program PPar = parseOk(Source);
-    AnalysisResult Par = runDeterminacyAnalysis(PPar, ParOpts);
-
-    EXPECT_EQ(undoFingerprint(Seq), undoFingerprint(Par))
-        << "engine=" << execEngineName(Engine);
-  }
+  EXPECT_EQ(undoFingerprint(Snap), undoFingerprint(Jour));
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -171,35 +140,28 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<std::pair<std::string, std::string>>
            &Info) { return Info.param.first; });
 
-/// The seed fan-out must be independent of undo engine, job count, and
-/// branch parallelism all at once: journal jobs=1 is the reference, and
-/// snapshot jobs=1/8 with and without a branch pool must all match it.
-TEST(SnapshotParallel, MergedFactsIndependentOfUndoJobsAndBranchPool) {
+/// The seed fan-out must be independent of undo engine and job count at
+/// once: journal jobs=1 is the reference, and snapshot jobs=1/8 must match
+/// it.
+TEST(SnapshotParallel, MergedFactsIndependentOfUndoAndJobs) {
   const std::string Source = workloads::miniquery(3);
   std::vector<uint64_t> Seeds = {1, 2, 3, 4, 5, 6};
-  ThreadPool BranchPool(4);
 
-  auto Run = [&](UndoEngine Undo, unsigned Jobs, bool Branches) {
+  auto Run = [&](UndoEngine Undo, unsigned Jobs) {
     Program P = parseOk(Source);
-    AnalysisOptions Opts = undoOptions(Undo, ExecEngine::Bytecode);
-    if (Branches) {
-      Opts.ParallelBranches = true;
-      Opts.BranchPool = &BranchPool;
-    }
-    AnalysisResult R = runDeterminacyAnalysisParallel(P, Opts, Seeds, Jobs);
+    AnalysisResult R =
+        runDeterminacyAnalysisParallel(P, undoOptions(Undo), Seeds, Jobs);
     EXPECT_TRUE(R.Ok) << R.Error;
     return undoFingerprint(R);
   };
 
-  std::string Reference = Run(UndoEngine::Journal, 1, false);
-  EXPECT_EQ(Reference, Run(UndoEngine::Snapshot, 1, false));
-  EXPECT_EQ(Reference, Run(UndoEngine::Snapshot, 8, false));
-  EXPECT_EQ(Reference, Run(UndoEngine::Snapshot, 1, true));
-  EXPECT_EQ(Reference, Run(UndoEngine::Snapshot, 8, true));
+  std::string Reference = Run(UndoEngine::Journal, 1);
+  EXPECT_EQ(Reference, Run(UndoEngine::Snapshot, 1));
+  EXPECT_EQ(Reference, Run(UndoEngine::Snapshot, 8));
 }
 
-/// Multi-class injected faults on a call-heavy program: the dedicated
-/// sweep the bytecode suite runs, here across undo engines.
+/// Multi-class injected faults on a call-heavy program, across undo
+/// engines.
 TEST(SnapshotGovernor, InjectedFaultClassesMatchJournal) {
   const std::string Source = workloads::miniquery(1);
   for (const char *Spec :
@@ -207,16 +169,14 @@ TEST(SnapshotGovernor, InjectedFaultClassesMatchJournal) {
     std::string Error;
     auto SnapInj = FaultInjector::parse(Spec, &Error);
     ASSERT_TRUE(SnapInj) << Error;
-    AnalysisOptions SnapOpts =
-        undoOptions(UndoEngine::Snapshot, ExecEngine::Bytecode);
+    AnalysisOptions SnapOpts = undoOptions(UndoEngine::Snapshot);
     SnapOpts.Injector = &*SnapInj;
     Program PS = parseOk(Source);
     AnalysisResult Snap = runDeterminacyAnalysis(PS, SnapOpts);
 
     auto JourInj = FaultInjector::parse(Spec, &Error);
     ASSERT_TRUE(JourInj) << Error;
-    AnalysisOptions JourOpts =
-        undoOptions(UndoEngine::Journal, ExecEngine::Bytecode);
+    AnalysisOptions JourOpts = undoOptions(UndoEngine::Journal);
     JourOpts.Injector = &*JourInj;
     Program PJ = parseOk(Source);
     AnalysisResult Jour = runDeterminacyAnalysis(PJ, JourOpts);
@@ -228,9 +188,9 @@ TEST(SnapshotGovernor, InjectedFaultClassesMatchJournal) {
 
 /// A deeply nested tower of indeterminate branches, each level shadowing
 /// the writes of the one above: the regression shape for snapshot-frame
-/// commit/restore ordering (a child frame's restore must not clobber the
-/// parent's older pre-images, and a committed child must hand its saves up
-/// so the parent still restores to the *outermost* pre-state).
+/// restore ordering (a child frame's restore must not clobber the parent's
+/// older pre-images, so the parent still restores to the *outermost*
+/// pre-state).
 const char *kNestedBranches =
     "var a = 1; var b = 2; var c = 3; var d = 4;\n"
     "var o = {x: 1, y: {z: 2}};\n"
@@ -249,14 +209,12 @@ const char *kNestedBranches =
 
 TEST(SnapshotUndo, NestedBranchesMatchJournalAcrossSeeds) {
   for (uint64_t Seed = 1; Seed <= 16; ++Seed) {
-    AnalysisOptions SnapOpts =
-        undoOptions(UndoEngine::Snapshot, ExecEngine::Bytecode);
+    AnalysisOptions SnapOpts = undoOptions(UndoEngine::Snapshot);
     SnapOpts.RandomSeed = Seed;
     Program PS = parseOk(kNestedBranches);
     AnalysisResult Snap = runDeterminacyAnalysis(PS, SnapOpts);
 
-    AnalysisOptions JourOpts =
-        undoOptions(UndoEngine::Journal, ExecEngine::Bytecode);
+    AnalysisOptions JourOpts = undoOptions(UndoEngine::Journal);
     JourOpts.RandomSeed = Seed;
     Program PJ = parseOk(kNestedBranches);
     AnalysisResult Jour = runDeterminacyAnalysis(PJ, JourOpts);
@@ -309,7 +267,7 @@ TEST(SnapshotGovernor, CowCopiesChargeHeapBudget) {
   // Unlimited budget first: establish that this workload does fork
   // snapshots and save pre-images.
   Program PFree = parseOk(Source);
-  AnalysisOptions Free = undoOptions(UndoEngine::Snapshot, ExecEngine::Bytecode);
+  AnalysisOptions Free = undoOptions(UndoEngine::Snapshot);
   AnalysisResult RFree = runDeterminacyAnalysis(PFree, Free);
   ASSERT_TRUE(RFree.Ok) << RFree.Error;
   EXPECT_GT(RFree.Stats.SnapshotForks, 0u);
@@ -318,8 +276,7 @@ TEST(SnapshotGovernor, CowCopiesChargeHeapBudget) {
   // Now a ceiling well under the free run's save count: the governor must
   // trip on the COW charges and degrade soundly.
   Program PTight = parseOk(Source);
-  AnalysisOptions Tight =
-      undoOptions(UndoEngine::Snapshot, ExecEngine::Bytecode);
+  AnalysisOptions Tight = undoOptions(UndoEngine::Snapshot);
   Tight.MaxHeapCells = 120;
   AnalysisResult RTight = runDeterminacyAnalysis(PTight, Tight);
   ASSERT_TRUE(RTight.Ok) << RTight.Error;
@@ -327,43 +284,12 @@ TEST(SnapshotGovernor, CowCopiesChargeHeapBudget) {
   EXPECT_TRUE(RTight.Degradation.degraded());
 }
 
-/// The parallel path actually engages on an eligible branch shape — and
-/// every dispatched task is either committed or invisibly rolled back.
-TEST(ParallelBranchStats, EligibleBranchesDispatchAndCommit) {
-  std::string Source = "var x = 0; var y = 0; var i = 0;\n"
-                       "while (i < 8) {\n"
-                       "  if (Math.random() < 0.5) { x = x + 1; }\n"
-                       "  else { y = y + 1; }\n"
-                       "  i = i + 1;\n"
-                       "}\n"
-                       "print(x + y);\n";
-  ThreadPool Pool(2);
-  AnalysisOptions Opts = undoOptions(UndoEngine::Snapshot, ExecEngine::Bytecode);
-  Opts.ParallelBranches = true;
-  Opts.BranchPool = &Pool;
-  Program P = parseOk(Source);
-  AnalysisResult R = runDeterminacyAnalysis(P, Opts);
-  ASSERT_TRUE(R.Ok) << R.Error;
-  EXPECT_GT(R.Stats.ParallelBranchTasks, 0u);
-  EXPECT_GT(R.Stats.ParallelBranchCommits, 0u);
-  EXPECT_LE(R.Stats.ParallelBranchCommits, R.Stats.ParallelBranchTasks);
-}
-
-/// Sanity on the flag plumbing: parallelism off (or no pool) must never
-/// dispatch, and the journal engine must never fork snapshots beyond the
-/// run-scoped base frames.
-TEST(ParallelBranchStats, DisabledModesNeverDispatch) {
-  const std::string Source = workloads::figure2();
-  Program PSeq = parseOk(Source);
-  AnalysisResult Seq = runDeterminacyAnalysis(
-      PSeq, undoOptions(UndoEngine::Snapshot, ExecEngine::Bytecode));
-  ASSERT_TRUE(Seq.Ok) << Seq.Error;
-  EXPECT_EQ(Seq.Stats.ParallelBranchTasks, 0u);
-  EXPECT_EQ(Seq.Stats.ParallelBranchCommits, 0u);
-
-  Program PJour = parseOk(Source);
-  AnalysisResult Jour = runDeterminacyAnalysis(
-      PJour, undoOptions(UndoEngine::Journal, ExecEngine::Bytecode));
+/// The journal engine must never fork snapshots beyond the run-scoped base
+/// frames.
+TEST(SnapshotUndo, JournalEngineNeverForksSnapshots) {
+  Program P = parseOk(workloads::figure2());
+  AnalysisResult Jour =
+      runDeterminacyAnalysis(P, undoOptions(UndoEngine::Journal));
   ASSERT_TRUE(Jour.Ok) << Jour.Error;
   EXPECT_EQ(Jour.Stats.SnapshotForks, 0u);
   EXPECT_EQ(Jour.Stats.CowCopies, 0u);

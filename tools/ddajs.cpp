@@ -35,7 +35,6 @@
 #include "specialize/Specializer.h"
 #include "support/FaultInjector.h"
 #include "support/ResourceGovernor.h"
-#include "support/ThreadPool.h"
 
 #include <algorithm>
 #include <memory>
@@ -98,17 +97,10 @@ int usage() {
       "                     identical for every N)\n"
       "  --batch DIR        analyze: process every DIR/*.js concurrently;\n"
       "                     exit code is the worst per-file code\n"
-      "  --engine E         expression engine: bytecode (default) or tree\n"
-      "                     (the tree-walk reference semantics; also via\n"
-      "                     DDA_ENGINE env)\n"
       "  --undo E           counterfactual undo engine: snapshot (default;\n"
       "                     copy-on-write arena snapshots, O(1) fork) or\n"
       "                     journal (reverse-replay reference oracle);\n"
       "                     facts and fingerprints are identical for both\n"
-      "  --parallel-branches  analyze: explore the taken and counterfactual\n"
-      "                     sides of eligible indeterminate branches\n"
-      "                     concurrently (snapshot undo engine only;\n"
-      "                     merged facts stay byte-identical)\n"
       "  --detdom           assume determinate DOM (unsound; paper 5.1)\n"
       "\n"
       "incremental re-analysis (analyze/specialize/deadcode and serve):\n"
@@ -160,12 +152,7 @@ struct Options {
   unsigned Seeds = 1;
   std::vector<uint64_t> SeedList; ///< --seeds a,b,c (overrides Seeds).
   unsigned Jobs = 1;              ///< --jobs: 0 = one per hardware thread.
-  ExecEngine Engine = defaultExecEngine();
   UndoEngine Undo = UndoEngine::Snapshot;
-  bool ParallelBranches = false;
-  /// Dedicated pool for intra-run branch parallelism (never the seed-level
-  /// pool; see AnalysisOptions::BranchPool). Created lazily on first use.
-  std::unique_ptr<ThreadPool> BranchPool;
   bool DetDom = false;
   uint64_t MaxSteps = 50'000'000;
   uint64_t DeadlineMs = 0;
@@ -262,12 +249,6 @@ bool parseArgs(int Argc, char **Argv, Options &Opts) {
       if (!V)
         return false;
       Opts.BatchDir = V;
-    } else if (Arg == "--engine") {
-      const char *V = Next();
-      if (!V || !parseExecEngine(V, Opts.Engine)) {
-        std::fprintf(stderr, "ddajs: --engine expects 'bytecode' or 'tree'\n");
-        return false;
-      }
     } else if (Arg == "--undo") {
       const char *V = Next();
       if (!V) {
@@ -280,8 +261,6 @@ bool parseArgs(int Argc, char **Argv, Options &Opts) {
         std::fprintf(stderr, "ddajs: --undo expects 'snapshot' or 'journal'\n");
         return false;
       }
-    } else if (Arg == "--parallel-branches") {
-      Opts.ParallelBranches = true;
     } else if (Arg == "--fact-store") {
       const char *V = Next();
       if (!V)
@@ -446,7 +425,6 @@ AnalysisOptions analysisOptions(Options &Opts) {
   AnalysisOptions AOpts;
   AOpts.RandomSeed = Opts.Seed;
   AOpts.DomSeed = Opts.DomSeed;
-  AOpts.Engine = Opts.Engine;
   AOpts.DeterminateDom = Opts.DetDom;
   AOpts.MaxSteps = Opts.MaxSteps;
   AOpts.DeadlineMs = Opts.DeadlineMs;
@@ -456,12 +434,6 @@ AnalysisOptions analysisOptions(Options &Opts) {
   AOpts.CounterfactualFuel = Opts.CfFuel;
   AOpts.Injector = Opts.Injector ? &*Opts.Injector : nullptr;
   AOpts.Undo = Opts.Undo;
-  if (Opts.ParallelBranches && Opts.Undo == UndoEngine::Snapshot) {
-    if (!Opts.BranchPool)
-      Opts.BranchPool = std::make_unique<ThreadPool>(0);
-    AOpts.ParallelBranches = true;
-    AOpts.BranchPool = Opts.BranchPool.get();
-  }
   if (Opts.Store) {
     AOpts.Incremental = Opts.Incremental;
     AOpts.Store = Opts.Store.get();
@@ -503,7 +475,6 @@ int cmdRun(const std::string &Source, Options &Opts) {
   InterpOptions IOpts;
   IOpts.RandomSeed = Opts.Seed;
   IOpts.DomSeed = Opts.DomSeed;
-  IOpts.Engine = Opts.Engine;
   IOpts.MaxSteps = Opts.MaxSteps;
   IOpts.DeadlineMs = Opts.DeadlineMs;
   IOpts.MaxHeapCells = Opts.MaxHeapCells;
@@ -626,7 +597,7 @@ int cmdBatch(Options &Opts) {
   for (const auto &[File, Idx] : Emit) {
     const AnalysisResult &R = Results[Idx];
     std::puts(
-        batchLine(File, serve::analysisPayloadJson(R, Opts.Engine, Seeds))
+        batchLine(File, serve::analysisPayloadJson(R, Seeds))
             .c_str());
     Worst = std::max(Worst, serve::analysisExitCode(R));
   }
@@ -654,7 +625,6 @@ int cmdServe(Options &Opts) {
   SOpts.MaxRequestBytes = Opts.MaxRequestBytes;
   SOpts.CacheAsts = Opts.CacheAsts;
   SOpts.CacheResults = Opts.CacheResults;
-  SOpts.Engine = Opts.Engine;
   SOpts.DetDom = Opts.DetDom;
   SOpts.DomSeed = Opts.DomSeed;
   SOpts.Injector = Opts.Injector;
