@@ -20,6 +20,13 @@
 using namespace dda;
 using workloads::EvalBenchmark;
 
+namespace dda::workloads {
+/// Lists a benchmark by name. gtest otherwise prints the struct's raw
+/// bytes, pointers included, so the test's listed name changed with the
+/// address-space layout of each run.
+void PrintTo(const EvalBenchmark &B, std::ostream *OS) { *OS << B.Name; }
+} // namespace dda::workloads
+
 namespace {
 
 class EvalSuiteTest : public ::testing::TestWithParam<EvalBenchmark> {};

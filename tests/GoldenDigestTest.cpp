@@ -18,6 +18,9 @@
 ///  * a governor matrix of step, counterfactual-fuel and heap budgets and
 ///    injected faults of every budget class.
 ///
+/// A second group holds the interpreters to results recorded from the
+/// retired bytecode VM (tests/data/engine_digests.txt), per corpus program.
+///
 /// Any change to what the analysis concludes, to the order or number of
 /// governor steps, or to how a budget trip degrades shows up as a changed
 /// line. To re-pin after an intended semantic change, copy the "actual"
@@ -25,8 +28,11 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "GoldenData.h"
+
 #include "ast/ASTPrinter.h"
 #include "determinacy/Determinacy.h"
+#include "interp/Interpreter.h"
 #include "parser/Parser.h"
 #include "pointsto/PointsTo.h"
 #include "serve/Protocol.h"
@@ -36,8 +42,7 @@
 #include "workloads/Workloads.h"
 
 #include <gtest/gtest.h>
-#include <cinttypes>
-#include <cstdio>
+#include <cctype>
 #include <fstream>
 #include <optional>
 #include <sstream>
@@ -45,27 +50,14 @@
 #include <vector>
 
 using namespace dda;
+using golden::fnv1a;
+using golden::hex;
 
 namespace {
 
 /// Matches the Table 1 bench and WorkloadTest: the points-to step budget
 /// that stands in for the paper's 10-minute timeout.
 constexpr uint64_t TimeoutBudget = 40'000;
-
-std::string hex(uint64_t V) {
-  char Buf[24];
-  std::snprintf(Buf, sizeof(Buf), "%016" PRIx64, V);
-  return Buf;
-}
-
-uint64_t fnv1a(const std::string &S) {
-  uint64_t H = 1469598103934665603ULL;
-  for (unsigned char C : S) {
-    H ^= C;
-    H *= 1099511628211ULL;
-  }
-  return H;
-}
 
 Program parse(const std::string &Source) {
   DiagnosticEngine Diags;
@@ -255,5 +247,112 @@ TEST(GoldenDigest, GovernorMatrix) {
   }
   expectGolden("governor", Out);
 }
+
+//===----------------------------------------------------------------------===//
+// The retired bytecode VM's recorded results
+//===----------------------------------------------------------------------===//
+
+/// The corpus the bytecode VM was held to observational identity on: the
+/// paper figures, the four miniquery versions, the runnable eval-suite
+/// programs and a band of generated programs.
+std::vector<std::pair<std::string, std::string>> engineCorpus() {
+  std::vector<std::pair<std::string, std::string>> Out;
+  Out.emplace_back("figure1", workloads::figure1());
+  Out.emplace_back("figure2", workloads::figure2());
+  Out.emplace_back("figure3", workloads::figure3());
+  Out.emplace_back("figure4", workloads::figure4());
+  for (int Minor = 0; Minor < 4; ++Minor)
+    Out.emplace_back("miniquery1_" + std::to_string(Minor),
+                     workloads::miniquery(Minor));
+  for (const auto &B : workloads::evalSuite())
+    if (B.Runnable) {
+      std::string Name = std::string("eval_") + B.Name;
+      for (char &C : Name) // gtest param names must be [A-Za-z0-9_].
+        if (!std::isalnum(static_cast<unsigned char>(C)))
+          C = '_';
+      Out.emplace_back(Name, B.Source);
+    }
+  for (uint64_t Seed = 1; Seed <= 20; ++Seed)
+    Out.emplace_back("fuzz" + std::to_string(Seed),
+                     workloads::generateProgram(Seed));
+  return Out;
+}
+
+/// Everything observable about an instrumented run, hashed: facts, stats,
+/// journal-entry count, executed sets, output and error.
+std::string analysisFingerprint(const AnalysisResult &R) {
+  std::ostringstream OS;
+  OS << "ok=" << R.Ok << " trap=" << static_cast<int>(R.Trap)
+     << " degraded=" << R.Degradation.degraded() << "\n"
+     << "error=" << R.Error << "\n"
+     << "steps=" << R.Stats.StepsUsed << " flushes=" << R.Stats.HeapFlushes
+     << " cf=" << R.Stats.Counterfactuals
+     << " cfAborts=" << R.Stats.CounterfactualAborts
+     << " journal=" << R.Stats.JournalEntries << "\n"
+     << "executedCalls=" << R.ExecutedCalls.size()
+     << " executedStmts=" << R.ExecutedStmts.size() << "\n"
+     << "--- output ---\n"
+     << R.Output << "--- facts ---\n"
+     << R.Facts.dump(R.Contexts);
+  return hex(fnv1a(OS.str()));
+}
+
+std::string engineDigest(const std::string &Key) {
+  return golden::pinnedLine("engine_digests.txt", Key);
+}
+
+/// Before its deletion the bytecode VM ran this corpus side by side with
+/// the tree-walk; tests/data/engine_digests.txt holds what the VM produced
+/// then. These tests keep the tree-walk, now the only engine, to those
+/// recorded results, so the deletion provably changed no observable
+/// behaviour on the corpus.
+class BytecodeDifferentialTest
+    : public ::testing::TestWithParam<std::pair<std::string, std::string>> {};
+
+/// Concrete interpreter: success, output, error and governor step count.
+TEST_P(BytecodeDifferentialTest, ConcreteEnginesAgree) {
+  const auto &[Name, Source] = GetParam();
+  Program P = parse(Source);
+  Interpreter I(P);
+  bool Ok = I.run();
+  EXPECT_EQ(engineDigest("vm-concrete/" + Name),
+            "ok=" + std::to_string(Ok) +
+                " steps=" + std::to_string(I.stepsUsed()) +
+                " output=" + hex(fnv1a(I.outputText())) +
+                " error=" + hex(fnv1a(I.errorMessage())));
+}
+
+/// Instrumented interpreter with every expression recorded.
+TEST_P(BytecodeDifferentialTest, InstrumentedEnginesAgree) {
+  const auto &[Name, Source] = GetParam();
+  AnalysisOptions Opts;
+  Opts.RecordAllExpressions = true;
+  Program P = parse(Source);
+  EXPECT_EQ(engineDigest("vm-instrumented/" + Name),
+            "fp=" + analysisFingerprint(runDeterminacyAnalysis(P, Opts)));
+}
+
+/// Different Math.random and DOM seeds drive different indeterminate
+/// branches and counterfactuals.
+TEST_P(BytecodeDifferentialTest, InstrumentedEnginesAgreeAcrossSeeds) {
+  const auto &[Name, Source] = GetParam();
+  std::string Actual;
+  for (uint64_t Seed : {7u, 99u}) {
+    AnalysisOptions Opts;
+    Opts.RecordAllExpressions = true;
+    Opts.RandomSeed = Seed;
+    Opts.DomSeed = Seed + 1;
+    Program P = parse(Source);
+    Actual += (Actual.empty() ? "" : " ") + std::string("seed") +
+              std::to_string(Seed) + "=" +
+              analysisFingerprint(runDeterminacyAnalysis(P, Opts));
+  }
+  EXPECT_EQ(engineDigest("vm-seeds/" + Name), Actual);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Corpus, BytecodeDifferentialTest, ::testing::ValuesIn(engineCorpus()),
+    [](const ::testing::TestParamInfo<std::pair<std::string, std::string>>
+           &Info) { return Info.param.first; });
 
 } // namespace

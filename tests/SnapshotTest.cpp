@@ -15,6 +15,8 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "GoldenData.h"
+
 #include "determinacy/Determinacy.h"
 #include "determinacy/InstrumentedInterpreter.h"
 #include "determinacy/ParallelAnalysis.h"
@@ -133,6 +135,21 @@ TEST_P(SnapshotDifferentialTest, InjectedFaultAgreement) {
   AnalysisResult Jour = runDeterminacyAnalysis(PJ, JourOpts);
 
   EXPECT_EQ(undoFingerprint(Snap), undoFingerprint(Jour));
+}
+
+/// Intra-run branch parallelism, before its deletion, ran counterfactual
+/// branches on a thread pool and was held to the sequential result under
+/// both expression engines; tests/data/engine_digests.txt records that
+/// common result. The sequential snapshot engine, now the only one, must
+/// still produce it.
+TEST_P(SnapshotDifferentialTest, ParallelBranchesMatchSequential) {
+  const auto &[Name, Source] = GetParam();
+  Program P = parseOk(Source);
+  AnalysisResult Seq =
+      runDeterminacyAnalysis(P, undoOptions(UndoEngine::Snapshot));
+  EXPECT_EQ(golden::pinnedLine("engine_digests.txt",
+                               "branch-pool/" + Name),
+            "fp=" + golden::hex(golden::fnv1a(undoFingerprint(Seq))));
 }
 
 INSTANTIATE_TEST_SUITE_P(

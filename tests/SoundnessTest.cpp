@@ -36,6 +36,10 @@ struct Scenario {
   const char *Source;
 };
 
+/// Lists a scenario by name rather than by its raw (pointer) bytes, which
+/// would make the test's listed name differ between runs.
+void PrintTo(const Scenario &S, std::ostream *OS) { *OS << S.Name; }
+
 const Scenario Corpus[] = {
     {"straight_line", R"JS(
 var a = 1 + 2;
