@@ -10,16 +10,10 @@
 //===----------------------------------------------------------------------===//
 
 #include "determinacy/Determinacy.h"
-#include "determinacy/ParallelAnalysis.h"
 #include "parser/Parser.h"
 #include "support/Table.h"
-#include "support/ThreadPool.h"
 
-#include "BenchSupport.h"
-
-#include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -52,156 +46,9 @@ if (Math.random() < 0.34) {
 }
 )JS";
 
-/// A heavier input-sensitive workload for the --jobs-sweep mode: the same
-/// dispatch shape as above plus enough loop work per seed that fan-out has
-/// something to overlap.
-const char *HeavyWorkload = R"JS(
-function handleA(x) { this_was_a = x; return "A"; }
-function handleB(x) { this_was_b = x; return "B"; }
-function handleC(x) { this_was_c = x; return "C"; }
-function dispatch(kind, x) {
-  if (kind === 0) { return handleA(x); }
-  if (kind === 1) { return handleB(x); }
-  return handleC(x);
-}
-function churn(n) {
-  var acc = 0;
-  var obj = {};
-  for (var i = 0; i < n; i++) {
-    obj["k" + (i % 17)] = i;
-    acc = acc + obj["k" + (i % 17)];
-    if (i % 97 === 0) { acc = acc + dispatch(i % 3, i); }
-  }
-  return acc;
-}
-var kind = Math.floor(Math.random() * 3);
-var tag = dispatch(kind, 7);
-var heavy = churn(4000);
-var n = Math.floor(Math.random() * 2);
-eval("dyn" + n + " = heavy;");
-if (Math.random() < 0.34) {
-  rare_path = 1;
-} else if (Math.random() < 0.5) {
-  mid_path = 1;
-} else {
-  common_path = 1;
-}
-)JS";
-
-/// Fingerprint of a merged result: everything satellite 3's determinism
-/// contract covers, rendered to one string for byte comparison.
-std::string fingerprint(const AnalysisResult &R) {
-  std::string Out = R.Facts.dump(R.Contexts);
-  Out += "facts=" + std::to_string(R.Facts.size());
-  Out += " det=" + std::to_string(R.Facts.countDeterminate());
-  Out += " calls=" + std::to_string(R.ExecutedCalls.size());
-  Out += " stmts=" + std::to_string(R.ExecutedStmts.size());
-  return Out;
-}
-
-/// --jobs-sweep: times the 32-seed heavy workload at jobs 1/2/4/8 and
-/// optionally records the sweep as a JSON fragment for BENCH_parallel.json.
-int runJobsSweep(const char *JsonPath, bool Quick) {
-  const unsigned NumSeeds = Quick ? 8 : 32;
-  std::vector<uint64_t> Seeds;
-  for (unsigned I = 1; I <= NumSeeds; ++I)
-    Seeds.push_back(I * 7919);
-
-  std::printf("Parallel fan-out sweep: %u seeds, jobs 1/2/4/8 "
-              "(host has %u hardware threads)\n\n",
-              NumSeeds, ThreadPool::hardwareWorkers());
-
-  TextTable T({"jobs", "wall ms", "speedup", "facts", "determinate",
-               "covered stmts", "identical"});
-  std::string Baseline;
-  double BaselineMs = 0;
-  struct Row {
-    unsigned Jobs;
-    double WallMs;
-    double Speedup;
-    size_t Facts, Determinate, Stmts;
-    bool Identical;
-  };
-  std::vector<Row> Rows;
-  for (unsigned Jobs : {1u, 2u, 4u, 8u}) {
-    DiagnosticEngine Diags;
-    Program P = parseProgram(HeavyWorkload, Diags);
-    auto Start = std::chrono::steady_clock::now();
-    AnalysisResult R =
-        runDeterminacyAnalysisParallel(P, AnalysisOptions(), Seeds, Jobs);
-    double Ms = std::chrono::duration<double, std::milli>(
-                    std::chrono::steady_clock::now() - Start)
-                    .count();
-    std::string FP = fingerprint(R);
-    if (Jobs == 1) {
-      Baseline = FP;
-      BaselineMs = Ms;
-    }
-    bool Identical = FP == Baseline;
-    Rows.push_back({Jobs, Ms, BaselineMs / Ms, R.Facts.size(),
-                    R.Facts.countDeterminate(), R.ExecutedStmts.size(),
-                    Identical});
-    char MsBuf[32], SpBuf[32];
-    std::snprintf(MsBuf, sizeof(MsBuf), "%.1f", Ms);
-    std::snprintf(SpBuf, sizeof(SpBuf), "%.2fx", BaselineMs / Ms);
-    T.addRow({std::to_string(Jobs), MsBuf, SpBuf,
-              std::to_string(R.Facts.size()),
-              std::to_string(R.Facts.countDeterminate()),
-              std::to_string(R.ExecutedStmts.size()),
-              Identical ? "yes" : "NO"});
-  }
-  std::printf("%s\n", T.str().c_str());
-
-  bool AllIdentical = true;
-  for (const Row &R : Rows)
-    AllIdentical = AllIdentical && R.Identical;
-  std::printf("merged facts %s across thread counts\n",
-              AllIdentical ? "byte-identical" : "DIVERGED");
-
-  if (JsonPath) {
-    FILE *F = std::fopen(JsonPath, "w");
-    if (!F) {
-      std::fprintf(stderr, "cannot write %s\n", JsonPath);
-      return 1;
-    }
-    std::fprintf(F,
-                 "{\n  \"bench\": \"multiseed_jobs_sweep\",\n"
-                 "  \"seeds\": %u,\n  \"host_cpus\": %u,\n"
-                 "  \"merged_identical\": %s,\n  \"runs\": [\n",
-                 NumSeeds, ThreadPool::hardwareWorkers(),
-                 AllIdentical ? "true" : "false");
-    for (size_t I = 0; I < Rows.size(); ++I) {
-      const Row &R = Rows[I];
-      std::fprintf(F,
-                   "    {\"jobs\": %u, \"wall_ms\": %.3f, \"speedup\": %.3f, "
-                   "\"facts\": %zu, \"determinate\": %zu, "
-                   "\"covered_stmts\": %zu}%s\n",
-                   R.Jobs, R.WallMs, R.Speedup, R.Facts, R.Determinate,
-                   R.Stmts, I + 1 < Rows.size() ? "," : "");
-    }
-    std::fprintf(F, "  ],\n  \"peak_rss_kb\": %ld\n}\n", bench::peakRssKb());
-    std::fclose(F);
-  }
-  return AllIdentical ? 0 : 1;
-}
-
 } // namespace
 
-int main(int Argc, char **Argv) {
-  const char *JsonPath = nullptr;
-  bool JobsSweep = false;
-  bool Quick = false;
-  for (int I = 1; I < Argc; ++I) {
-    if (!std::strcmp(Argv[I], "--jobs-sweep"))
-      JobsSweep = true;
-    else if (!std::strcmp(Argv[I], "--json") && I + 1 < Argc)
-      JsonPath = Argv[++I];
-    else if (!std::strcmp(Argv[I], "--quick"))
-      Quick = true;
-  }
-  if (JobsSweep)
-    return runJobsSweep(JsonPath, Quick);
-
+int main() {
   std::printf("Multi-seed fact accumulation (paper Section 7)\n\n");
 
   TextTable T({"seeds", "facts", "determinate", "covered calls",

@@ -17,15 +17,10 @@
 #include "pointsto/PointsTo.h"
 #include "specialize/Specializer.h"
 #include "support/Table.h"
-#include "support/ThreadPool.h"
 #include "workloads/Workloads.h"
 
-#include "BenchSupport.h"
-
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -40,8 +35,6 @@ struct Cell {
   uint64_t Flushes = 0;
   bool FlushLimitHit = false;
   uint64_t Steps = 0;
-  uint64_t HeapCells = 0;
-  double Millis = 0;
 
   std::string str(bool WithFlushes) const {
     std::string Out = Completed ? "yes" : "NO ";
@@ -65,7 +58,6 @@ Program parse(const std::string &Source) {
 }
 
 Cell runConfig(const std::string &Source, bool Specialize, bool DetDom) {
-  auto Start = std::chrono::steady_clock::now();
   Program P = parse(Source);
   PointsToOptions PTOpts;
   PTOpts.MaxPropagationSteps = TimeoutBudget;
@@ -81,115 +73,34 @@ Cell runConfig(const std::string &Source, bool Specialize, bool DetDom) {
     AnalysisResult A = runDeterminacyAnalysis(P, AOpts);
     C.Flushes = A.Stats.HeapFlushes;
     C.FlushLimitHit = A.Stats.FlushLimitHit;
-    C.HeapCells = A.Degradation.HeapCellsUsed;
     SpecializeResult S = specializeProgram(P, A);
     PointsToResult R = runPointsToAnalysis(S.Residual, PTOpts);
     C.Completed = R.Completed;
     C.Steps = R.PropagationSteps;
   }
-  C.Millis = std::chrono::duration<double, std::milli>(
-                 std::chrono::steady_clock::now() - Start)
-                 .count();
   return C;
 }
 
-/// The 12 table cells (4 versions x 3 configs) are independent — each
-/// runConfig parses its own Program — so they fan out across a pool.
-/// Cells land in a slot keyed by (version, config); the rendered table is
-/// identical for every jobs value.
-std::vector<Cell> runAllCells(unsigned Jobs) {
-  std::vector<Cell> Cells(12);
-  ThreadPool::parallelFor(Jobs, Cells.size(), [&](size_t I) {
-    int Minor = static_cast<int>(I / 3);
-    int Config = static_cast<int>(I % 3);
-    std::string Source = workloads::miniquery(Minor);
-    Cells[I] = runConfig(Source, /*Specialize=*/Config > 0,
-                         /*DetDom=*/Config == 2);
-  });
+/// The 12 table cells (4 versions x 3 configs), version-major.
+std::vector<Cell> runAllCells() {
+  std::vector<Cell> Cells;
+  for (int Minor = 0; Minor <= 3; ++Minor)
+    for (int Config = 0; Config < 3; ++Config)
+      Cells.push_back(runConfig(workloads::miniquery(Minor),
+                                /*Specialize=*/Config > 0,
+                                /*DetDom=*/Config == 2));
   return Cells;
-}
-
-int runJobsSweep(const char *JsonPath) {
-  std::printf("Table 1 cell fan-out sweep: 12 cells, jobs 1/2/4/8 "
-              "(host has %u hardware threads)\n\n",
-              ThreadPool::hardwareWorkers());
-  TextTable T({"jobs", "wall ms", "speedup"});
-  double BaselineMs = 0;
-  struct Row {
-    unsigned Jobs;
-    double WallMs;
-    double Speedup;
-  };
-  std::vector<Row> Rows;
-  uint64_t HeapCellsTotal = 0;
-  for (unsigned Jobs : {1u, 2u, 4u, 8u}) {
-    auto Start = std::chrono::steady_clock::now();
-    std::vector<Cell> Cells = runAllCells(Jobs);
-    HeapCellsTotal = 0;
-    for (const Cell &C : Cells)
-      HeapCellsTotal += C.HeapCells;
-    double Ms = std::chrono::duration<double, std::milli>(
-                    std::chrono::steady_clock::now() - Start)
-                    .count();
-    if (Jobs == 1)
-      BaselineMs = Ms;
-    Rows.push_back({Jobs, Ms, BaselineMs / Ms});
-    char MsBuf[32], SpBuf[32];
-    std::snprintf(MsBuf, sizeof(MsBuf), "%.1f", Ms);
-    std::snprintf(SpBuf, sizeof(SpBuf), "%.2fx", BaselineMs / Ms);
-    T.addRow({std::to_string(Jobs), MsBuf, SpBuf});
-  }
-  std::printf("%s\n", T.str().c_str());
-
-  if (JsonPath) {
-    FILE *F = std::fopen(JsonPath, "w");
-    if (!F) {
-      std::fprintf(stderr, "cannot write %s\n", JsonPath);
-      return 1;
-    }
-    std::fprintf(F,
-                 "{\n  \"bench\": \"table1_jobs_sweep\",\n  \"cells\": 12,\n"
-                 "  \"host_cpus\": %u,\n  \"runs\": [\n",
-                 ThreadPool::hardwareWorkers());
-    for (size_t I = 0; I < Rows.size(); ++I)
-      std::fprintf(F,
-                   "    {\"jobs\": %u, \"wall_ms\": %.3f, \"speedup\": "
-                   "%.3f}%s\n",
-                   Rows[I].Jobs, Rows[I].WallMs, Rows[I].Speedup,
-                   I + 1 < Rows.size() ? "," : "");
-    std::fprintf(F,
-                 "  ],\n  \"heap_cells_total\": %llu,\n"
-                 "  \"peak_rss_kb\": %ld\n}\n",
-                 static_cast<unsigned long long>(HeapCellsTotal),
-                 bench::peakRssKb());
-    std::fclose(F);
-  }
-  return 0;
 }
 
 } // namespace
 
-int main(int Argc, char **Argv) {
-  unsigned Jobs = 1;
-  const char *JsonPath = nullptr;
-  bool JobsSweep = false;
-  for (int I = 1; I < Argc; ++I) {
-    if (!std::strcmp(Argv[I], "--jobs") && I + 1 < Argc)
-      Jobs = static_cast<unsigned>(std::strtoul(Argv[++I], nullptr, 10));
-    else if (!std::strcmp(Argv[I], "--jobs-sweep"))
-      JobsSweep = true;
-    else if (!std::strcmp(Argv[I], "--json") && I + 1 < Argc)
-      JsonPath = Argv[++I];
-  }
-  if (JobsSweep)
-    return runJobsSweep(JsonPath);
-
+int main() {
   std::printf("Table 1: pointer-analysis scalability on miniquery versions\n");
   std::printf("(stand-in for jQuery 1.0-1.3; budget = %llu propagation "
               "steps ~ the paper's 10-minute timeout)\n\n",
               static_cast<unsigned long long>(TimeoutBudget));
 
-  std::vector<Cell> Cells = runAllCells(Jobs);
+  std::vector<Cell> Cells = runAllCells();
   TextTable T({"Version", "Baseline", "Spec", "Spec+DetDOM",
                "base steps", "spec steps", "detdom steps"});
   for (int Minor = 0; Minor <= 3; ++Minor) {

@@ -12,9 +12,11 @@
 /// Position shifts are the reason clean-vs-dirty is advisory rather than a
 /// soundness boundary: a "clean" statement at a new line still produces
 /// different program points, and the determinacy layer's chained
-/// fingerprints (which cover positions) decide what actually replays. The
-/// diff is the serve layer's observability and planning signal — how much
-/// of the incoming program is genuinely new code (`dirty_nodes`).
+/// fingerprints (which cover positions) decide what actually replays.
+///
+/// No analyzer or serve code calls this. It is kept only so the benchmark
+/// harness (ddbench/, which times it as `incremental.treediff_self_ms`)
+/// keeps compiling, like the ExecEngine no-op in determinacy/Determinacy.h.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -40,14 +40,6 @@ struct Environment {
   /// Copy-on-write stamp; see EnvArena::ensureSaved (mirrors
   /// JSObject::SaveGen).
   uint32_t SaveGen = 0;
-
-  /// Freshly-constructed state in place (ChunkedArena pool reuse); the
-  /// binding map keeps its buckets. Mirrors JSObject::reset.
-  void reset() {
-    Parent = 0;
-    Vars.clear();
-    SaveGen = 0;
-  }
 };
 
 /// Arena of environments. Reference 0 is invalid; reference 1 is created by

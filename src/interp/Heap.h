@@ -169,26 +169,6 @@ public:
   const std::unordered_map<StringId, Slot> &slots() const { return Props; }
   std::unordered_map<StringId, Slot> &slots() { return Props; }
 
-  /// Restores the freshly-constructed state in place (ChunkedArena pool
-  /// reuse). Observable state must be byte-equivalent to
-  /// destroy+reconstruct — SaveGen returns to zero exactly as a new
-  /// object's would — while the containers keep their allocated capacity.
-  void reset() {
-    Class = ObjectClass::Plain;
-    Proto = 0;
-    Fn = nullptr;
-    Closure = 0;
-    Native = NativeFn{};
-    AllocSite = 0;
-    ClosedEpoch = 0;
-    ExplicitlyOpen = false;
-    MaybeAbsent.clear();
-    MaybePresent.clear();
-    SaveGen = 0;
-    Props.clear();
-    Order.clear();
-  }
-
 private:
   static bool sortedInsert(SmallVec<StringId, 4> &Set, StringId Name) {
     auto It = std::lower_bound(Set.begin(), Set.end(), Name);

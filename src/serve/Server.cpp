@@ -4,7 +4,6 @@
 
 #include "ast/StructuralHash.h"
 #include "determinacy/ParallelAnalysis.h"
-#include "incremental/TreeDiff.h"
 #include "parser/Parser.h"
 #include "serve/JSON.h"
 
@@ -650,44 +649,6 @@ std::string Server::handleAnalyze(const Request &Req, bool &Cached) {
       Cache.insertAst(SourceHash, P);
   }
 
-  // Diff-aware accounting: classify this program's top-level statements
-  // against the closest previously seen program (the registered hash
-  // sequence sharing the most subtree hashes) and count the AST nodes
-  // inside dirty statements. Advisory observability — the chained
-  // fingerprints decide what actually replays.
-  {
-    std::vector<uint64_t> Hashes = topLevelHashes(*P);
-    std::lock_guard<std::mutex> Lock(SeenMu);
-    const SeenProgram *Closest = nullptr;
-    size_t BestShared = 0;
-    bool SeenBefore = false;
-    for (const SeenProgram &Prev : SeenPrograms) {
-      if (Prev.SourceHash == SourceHash) {
-        SeenBefore = true;
-        Closest = &Prev;
-        break;
-      }
-      std::vector<uint64_t> A = Prev.TopHashes, B = Hashes;
-      std::sort(A.begin(), A.end());
-      std::sort(B.begin(), B.end());
-      std::vector<uint64_t> Shared;
-      std::set_intersection(A.begin(), A.end(), B.begin(), B.end(),
-                            std::back_inserter(Shared));
-      if (!Closest || Shared.size() > BestShared) {
-        Closest = &Prev;
-        BestShared = Shared.size();
-      }
-    }
-    TreeDiffResult Diff = diffTopLevel(
-        Closest ? Closest->TopHashes : std::vector<uint64_t>(), *P);
-    Stats.DirtyNodes.fetch_add(Diff.DirtyNodes, std::memory_order_relaxed);
-    if (!SeenBefore) {
-      SeenPrograms.push_back({SourceHash, std::move(Hashes)});
-      if (SeenPrograms.size() > MaxSeenPrograms)
-        SeenPrograms.pop_front();
-    }
-  }
-
   AOpts.RandomSeed = Req.Seeds.front();
 
   // Register with the watchdog for the duration of the run.
@@ -770,7 +731,6 @@ std::string Server::statsJson() const {
   Add("snapshot_forks", Stats.SnapshotForks.load());
   Add("cow_copies", Stats.CowCopies.load());
   Add("incremental_hits", Stats.IncrementalHits.load());
-  Add("dirty_nodes", Stats.DirtyNodes.load());
   Add("replayed_facts", Stats.ReplayedFacts.load());
   Add("summaries_stored", Stats.SummariesStored.load());
   Add("store_summaries", StoreOpen ? Store.size() : 0);

@@ -52,8 +52,6 @@
 #include "support/ResourceGovernor.h"
 #include "support/ThreadPool.h"
 
-#include <deque>
-
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -137,13 +135,10 @@ struct ServeStats {
   std::atomic<uint64_t> CowCopies{0};      ///< Pre-images saved by COW writes.
   // Incremental-replay observability (same mechanism-not-conclusions
   // contract): regions warm-started from the fact store, facts replayed
-  // from summaries, fresh summaries captured, and — from the tree-diff of
-  // each program against the closest previously seen one — how many AST
-  // nodes of offered work were genuinely new code.
+  // from summaries, and fresh summaries captured.
   std::atomic<uint64_t> IncrementalHits{0};
   std::atomic<uint64_t> ReplayedFacts{0};
   std::atomic<uint64_t> SummariesStored{0};
-  std::atomic<uint64_t> DirtyNodes{0};
 };
 
 class Server {
@@ -216,18 +211,6 @@ private:
   /// open() succeeded at start().
   FactStore Store;
   bool StoreOpen = false;
-
-  /// Bounded registry of (source hash → top-level subtree hashes) for the
-  /// diff-aware path: each incoming program is diffed against the closest
-  /// previously seen one (most shared top-level hashes) to account dirty
-  /// vs clean offered work. FIFO-bounded observability state, not a cache.
-  struct SeenProgram {
-    uint64_t SourceHash;
-    std::vector<uint64_t> TopHashes;
-  };
-  std::mutex SeenMu;
-  std::deque<SeenProgram> SeenPrograms;
-  static constexpr size_t MaxSeenPrograms = 64;
 
   /// Canonicalized Opts.Root (set by start(); empty = path requests off).
   std::string RootCanon;

@@ -8,12 +8,7 @@
 /// stability (elements live in fixed chunks that never move) but with a
 /// chunk size tuned to the element (libstdc++'s deque uses 512-*byte*
 /// blocks — about three JSObjects per block — so allocation-heavy programs
-/// pay a malloc every third object). It is also *pooled*: `truncateTo`
-/// does not destroy elements, it parks them; the next allocation calls
-/// `T::reset()` on a parked element — which must restore every field to
-/// its freshly-constructed state — so the element's containers keep their
-/// buckets/capacity. Observable state after reset is byte-equivalent to
-/// destroy+reconstruct (SaveGen zero, empty maps).
+/// pay a malloc every third object).
 ///
 /// `SmallVec<T, N>` is a small-size-optimized vector for trivially copyable
 /// elements, used for `JSObject::MaybeAbsent`/`MaybePresent`: almost every
@@ -37,10 +32,8 @@
 
 namespace dda {
 
-/// Chunked, pooled arena. Addresses are stable for the arena's lifetime;
-/// `truncateTo` parks elements for reuse instead of destroying them.
-/// `T` must be default-constructible and provide `reset()` (see file
-/// comment). Copying the arena copies live elements only.
+/// Chunked, append-only arena. Addresses are stable for the arena's
+/// lifetime; `T` must be default-constructible.
 template <typename T, unsigned ChunkElems = 64>
 class ChunkedArena {
   static_assert((ChunkElems & (ChunkElems - 1)) == 0,
@@ -52,8 +45,7 @@ class ChunkedArena {
   };
 
   std::vector<std::unique_ptr<Chunk>> Chunks;
-  size_t Sz = 0;          ///< Live elements.
-  size_t Constructed = 0; ///< High-water mark of constructed elements.
+  size_t Sz = 0; ///< Constructed elements.
 
   T &slot(size_t I) { return Chunks[I / ChunkElems]->elems()[I % ChunkElems]; }
   const T &slot(size_t I) const {
@@ -61,11 +53,10 @@ class ChunkedArena {
   }
 
   void destroyAll() {
-    for (size_t I = 0; I < Constructed; ++I)
+    for (size_t I = 0; I < Sz; ++I)
       slot(I).~T();
     Chunks.clear();
     Sz = 0;
-    Constructed = 0;
   }
 
   void copyFrom(const ChunkedArena &O) {
@@ -76,7 +67,6 @@ class ChunkedArena {
       new (&slot(I)) T(O.slot(I));
     }
     Sz = O.Sz;
-    Constructed = O.Sz; // Pool residue is not carried into copies.
   }
 
 public:
@@ -92,20 +82,17 @@ public:
     return *this;
   }
   ChunkedArena(ChunkedArena &&O) noexcept
-      : Chunks(std::move(O.Chunks)), Sz(O.Sz), Constructed(O.Constructed) {
+      : Chunks(std::move(O.Chunks)), Sz(O.Sz) {
     O.Chunks.clear();
     O.Sz = 0;
-    O.Constructed = 0;
   }
   ChunkedArena &operator=(ChunkedArena &&O) noexcept {
     if (this != &O) {
       destroyAll();
       Chunks = std::move(O.Chunks);
       Sz = O.Sz;
-      Constructed = O.Constructed;
       O.Chunks.clear();
       O.Sz = 0;
-      O.Constructed = 0;
     }
     return *this;
   }
@@ -127,27 +114,13 @@ public:
     return slot(Sz - 1);
   }
 
-  /// Appends one element: a freshly default-constructed one past the
-  /// high-water mark, or a parked element reset in place.
+  /// Appends one default-constructed element.
   T &push() {
-    if (Sz < Constructed) {
-      T &X = slot(Sz++);
-      X.reset();
-      return X;
-    }
     if (Sz == Chunks.size() * ChunkElems)
       Chunks.push_back(std::make_unique<Chunk>());
     T &X = *new (&slot(Sz)) T();
     ++Sz;
-    ++Constructed;
     return X;
-  }
-
-  /// Shrinks the live range to \p N elements, parking the rest for reuse
-  /// (their memory and container capacity are retained).
-  void truncateTo(size_t N) {
-    assert(N <= Sz);
-    Sz = N;
   }
 };
 

@@ -16,9 +16,10 @@
 ///
 /// Checkpoints are deliberately cheap — a counter increment, a compare, and
 /// a branch that is almost always not-taken — so the governor can sit on
-/// the interpreter's per-step hot path (see bench/bench_governor.cpp for
-/// the overhead budget). The wall clock is only sampled every
-/// `kDeadlineStride` steps to keep `now()` syscalls off the hot path.
+/// the interpreter's per-step hot path (EXPERIMENTS.md "Retired
+/// micro-benchmarks" records the overhead budget). The wall clock is only
+/// sampled every `kDeadlineStride` steps to keep `now()` syscalls off the
+/// hot path.
 ///
 /// A deterministic FaultInjector (FaultInjector.h) can be attached to trip
 /// any budget at the Nth checkpoint of its class, so every degradation path

@@ -2,7 +2,7 @@
 //
 // Unit tests for the PR 10 hot-path containers: FlatMap/FlatSet
 // (open-addressing tables), NodeBitSet (dense executed-id sets),
-// ChunkedArena/SmallVec (pooled heap storage), plus the layout and hashing
+// ChunkedArena/SmallVec (chunked heap storage), plus the layout and hashing
 // contracts the analysis core depends on: the slim-journal entry size, the
 // 16-byte Value POD, and the FactKeyHash bucket-distribution regression.
 //
@@ -377,22 +377,18 @@ TEST(NodeBitSet, InsertAllAndEquality) {
 
 namespace {
 
-struct Pooled {
+struct Item {
   int X = 0;
   std::vector<int> Buf;
-  void reset() {
-    X = 0;
-    Buf.clear();
-  }
 };
 
 } // namespace
 
 TEST(ChunkedArena, StableAddressesAcrossGrowth) {
-  ChunkedArena<Pooled> A;
-  std::vector<Pooled *> Ptrs;
+  ChunkedArena<Item> A;
+  std::vector<Item *> Ptrs;
   for (int I = 0; I < 500; ++I) {
-    Pooled &P = A.push();
+    Item &P = A.push();
     P.X = I;
     Ptrs.push_back(&P);
   }
@@ -401,36 +397,26 @@ TEST(ChunkedArena, StableAddressesAcrossGrowth) {
   EXPECT_EQ(&A[123], Ptrs[123]);
 }
 
-TEST(ChunkedArena, TruncatePoolsAndResets) {
-  ChunkedArena<Pooled> A;
-  for (int I = 0; I < 100; ++I) {
-    Pooled &P = A.push();
-    P.X = I;
-    P.Buf.assign(8, I);
-  }
-  Pooled *Old = &A[50];
-  A.truncateTo(50);
-  EXPECT_EQ(A.size(), 50u);
-  // Reuse: same slot address, freshly-reset state.
-  Pooled &Reused = A.push();
-  EXPECT_EQ(&Reused, Old);
-  EXPECT_EQ(Reused.X, 0);
-  EXPECT_TRUE(Reused.Buf.empty());
-}
-
 TEST(ChunkedArena, CopyCarriesLiveElementsOnly) {
-  ChunkedArena<Pooled> A;
-  for (int I = 0; I < 80; ++I)
-    A.push().X = I;
-  A.truncateTo(10); // 70 parked.
-  ChunkedArena<Pooled> B = A;
-  EXPECT_EQ(B.size(), 10u);
-  for (int I = 0; I < 10; ++I)
+  ChunkedArena<Item> A;
+  for (int I = 0; I < 80; ++I) {
+    Item &E = A.push();
+    E.X = I;
+    E.Buf.assign(4, I);
+  }
+  ChunkedArena<Item> B = A;
+  EXPECT_EQ(B.size(), 80u);
+  for (int I = 0; I < 80; ++I) {
     EXPECT_EQ(B[I].X, I);
-  B.push().X = 99; // Fresh construction past the copy, not pool residue.
-  EXPECT_EQ(B[10].X, 99);
+    EXPECT_NE(&B[I], &A[I]);
+  }
+  B.push().X = 99; // Growth past the copy's last chunk.
+  EXPECT_EQ(B[80].X, 99);
+  EXPECT_EQ(A.size(), 80u);
   A[5].X = -1; // Deep copy: no aliasing.
+  A[5].Buf.clear();
   EXPECT_EQ(B[5].X, 5);
+  EXPECT_EQ(B[5].Buf.size(), 4u);
 }
 
 TEST(SmallVec, InlineAndSpill) {

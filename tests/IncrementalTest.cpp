@@ -64,7 +64,22 @@ Program parseOk(const std::string &Source) {
   return P;
 }
 
-/// Same sweep as the snapshot differential suite.
+/// A stable library of \p Funcs looping functions, each called once at the
+/// top level, then a one-statement app tail: the shape the store serves.
+std::string loopLibrary(unsigned Funcs, unsigned LoopIters) {
+  std::string S = "var acc = 0;\n";
+  for (unsigned I = 0; I < Funcs; ++I) {
+    std::string F = "f" + std::to_string(I);
+    S += "function " + F + "(x) { var s = 0; var i = 0; while (i < " +
+         std::to_string(LoopIters) +
+         ") { s = s + i; i = i + 1; } return x + s; }\n";
+    S += "acc = " + F + "(acc);\n";
+  }
+  return S + "print(acc + 1);\n";
+}
+
+/// The snapshot differential suite's figures, miniquery, eval and fuzz
+/// programs, plus a looping library.
 std::vector<std::pair<std::string, std::string>> corpus() {
   std::vector<std::pair<std::string, std::string>> Out;
   Out.emplace_back("figure1", workloads::figure1());
@@ -85,6 +100,7 @@ std::vector<std::pair<std::string, std::string>> corpus() {
   for (uint64_t Seed = 1; Seed <= 12; ++Seed)
     Out.emplace_back("fuzz" + std::to_string(Seed),
                      workloads::generateProgram(Seed));
+  Out.emplace_back("loop_library", loopLibrary(16, 100));
   return Out;
 }
 

@@ -101,6 +101,45 @@ TEST(ParallelAnalysis, SeedDependentEvalIsThreadCountInvariant) {
     print(n + m);
   )JS";
   expectThreadCountInvariant(Source, {1, 2, 3, 4, 5, 6, 7, 8});
+
+  // Input-dependent dispatch and eval after enough loop work per seed that
+  // the tasks overlap.
+  const char *Heavy = R"JS(
+    function handleA(x) { this_was_a = x; return "A"; }
+    function handleB(x) { this_was_b = x; return "B"; }
+    function handleC(x) { this_was_c = x; return "C"; }
+    function dispatch(kind, x) {
+      if (kind === 0) { return handleA(x); }
+      if (kind === 1) { return handleB(x); }
+      return handleC(x);
+    }
+    function churn(n) {
+      var acc = 0;
+      var obj = {};
+      for (var i = 0; i < n; i++) {
+        obj["k" + (i % 17)] = i;
+        acc = acc + obj["k" + (i % 17)];
+        if (i % 97 === 0) { acc = acc + dispatch(i % 3, i); }
+      }
+      return acc;
+    }
+    var kind = Math.floor(Math.random() * 3);
+    var tag = dispatch(kind, 7);
+    var heavy = churn(4000);
+    var n = Math.floor(Math.random() * 2);
+    eval("dyn" + n + " = heavy;");
+    if (Math.random() < 0.34) {
+      rare_path = 1;
+    } else if (Math.random() < 0.5) {
+      mid_path = 1;
+    } else {
+      common_path = 1;
+    }
+  )JS";
+  std::vector<uint64_t> Seeds;
+  for (uint64_t I = 1; I <= 8; ++I)
+    Seeds.push_back(I * 7919);
+  expectThreadCountInvariant(Heavy, Seeds);
 }
 
 TEST(ParallelAnalysis, MiniqueryMergeIsThreadCountInvariant) {

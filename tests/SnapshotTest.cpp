@@ -6,8 +6,9 @@
 /// (including journal-entry counts — the slim journal still logs every
 /// write for vd/pd marking), executed sets, and exit codes, across every
 /// workload family (paper figures, miniquery, the eval suite's
-/// runtime-compiled overlays, generated fuzz programs), injected faults,
-/// and seed fan-outs at jobs 1 and 8.
+/// runtime-compiled overlays, generated fuzz programs, flat/nested/
+/// counterfactual write-set stress), injected faults, and seed fan-outs at
+/// jobs 1 and 8.
 ///
 /// The snapshot-only counters (SnapshotForks, CowCopies) are deliberately
 /// excluded from the fingerprint: they describe *how* undo was done, not
@@ -28,6 +29,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cctype>
 #include <sstream>
 
@@ -42,8 +44,37 @@ Program parseOk(const std::string &Source) {
   return P;
 }
 
-/// Figures, miniquery, runnable eval-suite overlays, and a band of
-/// generated fuzz programs.
+/// A write-set of \p Writes writes to four properties of `o`, run in a
+/// loop under \p Pad's nesting.
+std::string writeSet(unsigned Writes, const std::string &Pad) {
+  std::string I = "i" + std::to_string(Pad.size());
+  return Pad + "var " + I + " = 0;\n" + Pad + "while (" + I + " < " +
+         std::to_string(Writes) + ") { o.a = " + I +
+         "; o.b = o.a + 1; o.c = o.b + o.a; o.d = o.c - o.b; " + I + " = " +
+         I + " + 1; }\n";
+}
+
+/// Undo stress: \p Depth nested branches on an indeterminate `r`, each
+/// adding its share of \p Writes. With \p Cmp "<" every branch is taken
+/// (the write history piles up under one frame per level); with ">" none
+/// is, so each level runs as a counterfactual and is undone.
+std::string undoStress(unsigned Depth, unsigned Writes, const char *Cmp) {
+  std::string Out = "var o = {a:0, b:0, c:0, d:0};\n"
+                    "var r = Math.random() + 2;\n";
+  std::string Pad;
+  for (unsigned D = 0; D < Depth; ++D) {
+    Out += Pad + "if (r " + Cmp + " " + std::to_string(100 * (D + 1)) +
+           ") {\n";
+    Pad += "  ";
+    Out += writeSet(std::max(1u, Writes / Depth), Pad);
+  }
+  for (unsigned D = Depth; D-- > 0;)
+    Out += std::string(2 * D, ' ') + "}\n";
+  return Out;
+}
+
+/// Figures, miniquery, runnable eval-suite overlays, a band of generated
+/// fuzz programs, and flat, nested and counterfactual undo stress.
 std::vector<std::pair<std::string, std::string>> corpus() {
   std::vector<std::pair<std::string, std::string>> Out;
   Out.emplace_back("figure1", workloads::figure1());
@@ -64,6 +95,12 @@ std::vector<std::pair<std::string, std::string>> corpus() {
   for (uint64_t Seed = 1; Seed <= 12; ++Seed)
     Out.emplace_back("fuzz" + std::to_string(Seed),
                      workloads::generateProgram(Seed));
+  for (unsigned W : {64u, 1024u}) {
+    std::string N = std::to_string(W);
+    Out.emplace_back("undo_flat" + N, undoStress(1, W, "<"));
+    Out.emplace_back("undo_nested" + N, undoStress(4, W, "<"));
+    Out.emplace_back("undo_counterfactual" + N, undoStress(4, W, ">"));
+  }
   return Out;
 }
 
